@@ -298,10 +298,6 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
 # ---------------------------------------------------------------------------
 # derivations
 
@@ -401,10 +397,6 @@ class CommutatorDerivation(Derivation):
 
 def commutator(a: Derivation, b: Derivation, reducer=None) -> CommutatorDerivation:
     return CommutatorDerivation(a, b, reducer=reducer)
-
-
-def apply_derivation(derivation: Derivation, poly: Polynomial) -> Polynomial:
-    return derivation.apply(poly)
 
 
 def commutator_vanishes_on(a: Derivation, b: Derivation, generators,
@@ -512,16 +504,6 @@ def homogeneous_components(poly: Polynomial, degree_fn):
         buckets.items(), key=lambda kv: repr(kv[0]))}
 
 
-def is_homogeneous(poly: Polynomial, degree_fn):
-    """(True, label) for homogeneous input (zero included), else (False, None)."""
-    comps = homogeneous_components(poly, degree_fn)
-    if len(comps) > 1:
-        return False, None
-    if not comps:
-        return True, None
-    return True, next(iter(comps))
-
-
 # ---------------------------------------------------------------------------
 # trinomial quotient rings
 
@@ -607,7 +589,3 @@ class TrinomialRing:
 
     def variables(self):
         return tuple(self.variable(i) for i in range(self.nvars))
-
-
-def reduce(poly: Polynomial, ring: TrinomialRing) -> Polynomial:
-    return ring.reduce(poly)

@@ -17,15 +17,16 @@ import sys
 from .algebra import (
     Polynomial,
     TrinomialRing,
-    apply_derivation,
     coeff_to_string,
     exponential,
 )
 from .cone import Cone, dual_cone, hilbert_basis, make_cone
 from .errors import InputError, RefusalError, SearchBoundExceeded
 from .lattice import determinant, mat_mul, pairing, smith_normal_form
+from . import toric
 from .toric import (
     enumerate_roots,
+    is_demazure_root,
     is_maximal,
     kernel_of_root,
     lnds_commute,
@@ -125,6 +126,15 @@ def _parse_vector(text, flag, length=None):
         raise InputError("{} expects {} entries".format(flag, length),
                          position=flag)
     return vec
+
+
+def _check_search_sizes(args):
+    for dest in ("bound", "hilbert_bound", "cap", "replica_degree"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            flag = "--" + dest.replace("_", "-")
+            raise InputError("{} must be nonnegative".format(flag),
+                             position=flag)
 
 
 def _single_root(args, cone):
@@ -311,8 +321,8 @@ def _derivation_json(ring, deriv):
     images = {}
     for v in (deriv.x_index, deriv.z_index):
         exp = tuple(1 if j == v else 0 for j in range(ring.nvars))
-        images[str(v)] = _poly_json(apply_derivation(
-            deriv.derivation, Polynomial.monomial(exp)))
+        images[str(v)] = _poly_json(
+            deriv.derivation.apply(Polynomial.monomial(exp)))
     return {
         "images": images,
         "label": deriv.label(),
@@ -467,7 +477,7 @@ _SELFTEST_ROOTS = (
 )
 
 
-def _selftest_checks(rng, pairing_impl):
+def _selftest_checks(rng):
     cone = make_cone(3, _SELFTEST_CONE)
 
     def check_smith():
@@ -496,9 +506,10 @@ def _selftest_checks(rng, pairing_impl):
         return True, "dual Hilbert basis is the four generators, complete"
 
     def check_roots():
-        got = enumerate_roots(cone, 2, _pairing=pairing_impl)
+        # replayed through root recognition, which reads toric's pairing
+        have = tuple((r.ray_index, r.vector) for r in enumerate_roots(cone, 2)
+                     if is_demazure_root(cone, r.vector) == r)
         want = _SELFTEST_ROOTS
-        have = tuple((r.ray_index, r.vector) for r in got)
         if have != want:
             wrong = sorted(set(have) ^ set(want))
             return False, "root list differs, e.g. {}".format(wrong[0])
@@ -507,14 +518,13 @@ def _selftest_checks(rng, pairing_impl):
     def check_criterion():
         roots = enumerate_roots(cone, 2)
         for root in roots:
-            if pairing_impl(root.vector, cone.rays[root.ray_index]) != -1:
+            if is_demazure_root(cone, root.vector) != root:
                 return False, "root {} not recognized".format(root.vector)
         disagreements = 0
         for i in range(len(roots)):
             for j in range(i + 1, len(roots)):
                 a, b = roots[i], roots[j]
-                if lnds_commute(a, b, _pairing=pairing_impl) \
-                        != symbolic_commute_check(cone, a, b):
+                if lnds_commute(a, b) != symbolic_commute_check(cone, a, b):
                     disagreements += 1
         if disagreements:
             return False, "{} criterion/symbolic disagreements".format(
@@ -564,20 +574,20 @@ def cmd_selftest(args) -> int:
         raise InputError("LNDKIT_SEED must be an integer",
                          position="LNDKIT_SEED")
     rng = random.Random(seed)
-    if args.fault == "pairing-sign":
-        def pairing_impl(m, v):
-            return -pairing(m, v)
-    else:
-        pairing_impl = pairing
     results = []
     all_ok = True
-    for name, fn in _selftest_checks(rng, pairing_impl):
-        try:
-            ok, detail = fn()
-        except Exception as err:  # a crash is a failure, not an abort
-            ok, detail = False, "raised {}: {}".format(type(err).__name__, err)
-        results.append({"detail": detail, "name": name, "ok": ok})
-        all_ok = all_ok and ok
+    try:
+        if args.fault == "pairing-sign":
+            toric._pairing = lambda m, v: -pairing(m, v)
+        for name, fn in _selftest_checks(rng):
+            try:
+                ok, detail = fn()
+            except Exception as err:  # a crash is a failure, not an abort
+                ok, detail = False, "raised {}: {}".format(type(err).__name__, err)
+            results.append({"detail": detail, "name": name, "ok": ok})
+            all_ok = all_ok and ok
+    finally:
+        toric._pairing = pairing
     _emit(args, {
         "checks": results,
         "fault": args.fault,
@@ -684,6 +694,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_normalize_argv(list(argv)))
     try:
+        _check_search_sizes(args)
         return args.handler(args)
     except InputError as err:
         payload = {"error": str(err), "position": err.position}

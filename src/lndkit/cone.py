@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import RefusalError
 from .lattice import (
@@ -25,7 +26,7 @@ from .lattice import (
     matrix_rank,
     pairing,
     primitive_part,
-    vec_sub,
+    row_reduce,
 )
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # coeffs . x  (cmp)  rhs
@@ -55,27 +56,12 @@ def feasible_point(nvars: int, eqs, ineqs):
     Equalities are removed by Gaussian elimination, the rest by
     Fourier-Motzkin with back substitution, so the returned point is exact.
     """
-    # reduced row echelon form of the equality system
-    work = [[Fraction(c) for c in co] + [Fraction(r)] for co, r in eqs]
-    pivots = []  # (row, col), pivot entry scaled to 1, column cleared
-    r = 0
-    for c in range(nvars):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, len(work)):
-        if work[i][nvars] != 0:
-            return None
-    pivot_cols = {c for _, c in pivots}
+    # reduced row echelon form of [A | b]: a pivot in the b column means
+    # some combination of the equalities reads 0 == nonzero
+    work, pivot_cols = row_reduce([list(co) + [r] for co, r in eqs])
+    if nvars in pivot_cols:
+        return None
+    pivots = list(enumerate(pivot_cols))  # (row, col), pivot 1, column cleared
     free = [c for c in range(nvars) if c not in pivot_cols]
 
     # substitute x_c = rhs_r - sum_{j free} work[r][j] x_j into the inequalities
@@ -245,37 +231,15 @@ def lineality_witness(cone: Cone):
     """A nonzero integer vector w with both w and -w in the cone, or None."""
     if is_pointed(cone):
         return None
-    # the lineality space is cut out by the dual generators
-    dual = dual_cone(cone).generators
-    rows = [list(map(Fraction, d)) for d in dual]
-    n = cone.rank
-    # kernel vector via elimination
-    pivots = {}
-    r = 0
-    work = [row[:] for row in rows]
-    for c in range(n):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots[c] = r
-        r += 1
-    for c in range(n):
-        if c not in pivots:
-            vec = [Fraction(0)] * n
-            vec[c] = Fraction(1)
-            for pc, pr in pivots.items():
-                vec[pc] = -work[pr][c]
-            scale = lcm(*(f.denominator for f in vec))
-            w = tuple(int(f * scale) for f in vec)
-            return primitive_part(w)
-    raise AssertionError("non-pointed cone must have a lineality direction")
+    # the lineality space is the kernel of the dual generators; read a
+    # kernel vector off the first non-pivot column
+    work, pivots = row_reduce(dual_cone(cone).generators)
+    c = next(c for c in range(cone.rank) if c not in pivots)
+    vec = [Fraction(0)] * cone.rank
+    vec[c] = Fraction(1)
+    for row, pc in zip(work, pivots):
+        vec[pc] = -row[c]
+    return primitive_part(_integer_point(vec))
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +247,8 @@ def dual_cone(cone: Cone) -> DualCone:
     """Generators of the dual cone by double description.
 
     Runs one halfspace at a time, combining each positive and negative pair
-    on the separating hyperplane and pruning by the standard rank test. For
+    on the separating hyperplane and pruning by the standard rank test, one
+    ``matrix_rank`` (a ``row_reduce``) per candidate. For
     a full-dimensional input the output is the exact extremal ray set of the
     (then pointed) dual.
     """
@@ -378,6 +343,46 @@ def completeness_bound(cone: Cone) -> int:
     return sum(max(abs(x) for x in r) for r in cone.rays) if cone.rays else 0
 
 
+def lattice_points(rows, bound: int) -> list:
+    """Integer points x of [-bound, bound]^n with <a, x> >= c for every row
+    (a, c), in lexicographic order. ``rows`` must not be empty; an equality
+    is written as two opposite rows.
+
+    Depth-first over the coordinates. At each depth the coordinate's
+    feasible interval is cut straight from the rows: the slack a row still
+    needs, less the most the later coordinates can give inside the box, is
+    what this coordinate has to supply.
+    """
+    n = len(rows[0][0])
+    # reach[k][i]: the most coordinates k.. can add to row i inside the box
+    reach = [[bound * sum(abs(x) for x in a[k:]) for a, _ in rows]
+             for k in range(n + 1)]
+    columns = [[a[k] for a, _ in rows] for k in range(n)]
+    points = []
+    coords = [0] * n
+
+    def walk(k, needs):
+        # needs[i]: what coordinates k.. must still add to row i
+        if k == n:
+            points.append(tuple(coords))
+            return
+        lo, hi = -bound, bound
+        for a, need, most in zip(columns[k], needs, reach[k + 1]):
+            need -= most
+            if a > 0:
+                lo = max(lo, -(-need // a))
+            elif a < 0:
+                hi = min(hi, need // a)
+            elif need > 0:
+                return
+        for val in range(lo, hi + 1):
+            coords[k] = val
+            walk(k + 1, [need - a * val for a, need in zip(columns[k], needs)])
+
+    walk(0, [c for _, c in rows])
+    return points
+
+
 @lru_cache(maxsize=None)
 def hilbert_basis(cone: Cone, bound: int | None = None) -> HilbertBasis:
     """Irreducible lattice points of the cone inside a box.
@@ -386,6 +391,15 @@ def hilbert_basis(cone: Cone, bound: int | None = None) -> HilbertBasis:
     complete and the irreducibility filter is then exact. With a smaller
     caller-supplied bound the result is marked complete=False: it lists the
     irreducible elements found inside the box only.
+
+    The box points of the cone come from ``lattice_points`` against the
+    dual generators. A point is reducible when it lies above another box
+    point in every pairing with them, i.e. their difference is a nonzero
+    cone point. Reduction is graded, as in Normaliz (Bruns-Ichim 2010): the
+    degree, the sum of those pairings, is positive off the origin of the
+    pointed cone, so whatever lies below a point has lower degree and lies
+    above an irreducible point of lower degree still. Scanning by degree, a
+    point is kept iff it lies above no point kept before it.
     """
     witness = lineality_witness(cone)
     if witness is not None:
@@ -395,50 +409,15 @@ def hilbert_basis(cone: Cone, bound: int | None = None) -> HilbertBasis:
         )
     needed = completeness_bound(cone)
     b = needed if bound is None else bound
-    complete = b >= needed
-    dual = dual_cone(cone).generators
-    n = cone.rank
-    if not cone.rays or b == 0:
+    if not cone.rays:
         return HilbertBasis(elements=(), complete=True, bound=b)
-
-    # depth-first box scan with interval pruning against each dual generator
-    suffix = []
-    for d in dual:
-        acc = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            acc[i] = acc[i + 1] + abs(d[i]) * b
-        suffix.append(acc)
-    points = []
-    coords = [0] * n
-
-    def walk(depth, sums):
-        if depth == n:
-            if any(s < 0 for s in sums):
-                return
-            pt = tuple(coords)
-            if not is_zero_vector(pt):
-                points.append(pt)
-            return
-        for val in range(-b, b + 1):
-            coords[depth] = val
-            nxt = [s + val * d[depth] for s, d in zip(sums, dual)]
-            if all(s + suffix[k][depth + 1] >= 0 for k, s in enumerate(nxt)):
-                walk(depth + 1, nxt)
-
-    walk(0, [0] * len(dual))
-    points.sort()
-
-    pairings = {p: tuple(pairing(p, d) for d in dual) for p in points}
-
-    def reducible(x):
-        px = pairings[x]
-        for y in points:
-            if y == x:
-                continue
-            py = pairings[y]
-            if all(a - c >= 0 for a, c in zip(px, py)):
-                return True
-        return False
-
-    elems = tuple(p for p in points if not reducible(p))
-    return HilbertBasis(elements=elems, complete=complete, bound=b)
+    dual = dual_cone(cone).generators
+    points = [p for p in lattice_points([(d, 0) for d in dual], b) if any(p)]
+    pairings = [tuple(sum(map(mul, p, d)) for d in dual) for p in points]
+    kept = []
+    for i in sorted(range(len(points)), key=lambda i: sum(pairings[i])):
+        px = pairings[i]
+        if not any(all(a >= c for a, c in zip(px, pairings[j])) for j in kept):
+            kept.append(i)
+    elems = tuple(sorted(points[i] for i in kept))
+    return HilbertBasis(elements=elems, complete=b >= needed, bound=b)

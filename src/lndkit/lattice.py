@@ -117,30 +117,38 @@ def determinant(a: LatticeMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def matrix_rank(a) -> int:
-    """Rank over Q by fraction elimination."""
+def row_reduce(a):
+    """Reduced row echelon form of a over Q, by Gauss-Jordan elimination.
+
+    Returns (rows, pivots): the nonzero rows of the form, as lists of
+    Fractions, and the pivot column of each row. The form is unique for a
+    given row space, so everything read off it is independent of the order
+    of the input rows. The pivot columns are the columns that a greedy scan
+    left to right keeps whenever they raise the rank.
+    """
     rows = [list(map(Fraction, r)) for r in a]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
+            if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def matrix_rank(a) -> int:
+    """Rank over Q."""
+    return len(row_reduce(a)[1])
 
 
 def rational_inverse(a: LatticeMatrix):
@@ -148,26 +156,12 @@ def rational_inverse(a: LatticeMatrix):
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("rational_inverse needs a square matrix")
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in m)
+    # [a | I] reduces to [I | a^-1] exactly when a is invertible
+    rows, pivots = row_reduce([tuple(row) + tuple(int(i == j) for j in range(n))
+                               for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def integer_inverse(a: LatticeMatrix) -> LatticeMatrix:

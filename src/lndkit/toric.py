@@ -29,6 +29,7 @@ from .cone import (
     dual_cone,
     hilbert_basis,
     is_pointed,
+    lattice_points,
     lineality_witness,
     make_cone,
     positive_functional,
@@ -41,15 +42,22 @@ from .lattice import (
     LatticeQuotient,
     determinant,
     extends_to_basis,
-    matrix_rank,
     pairing,
     quasitorus_kernel,
     rational_inverse,
+    row_reduce,
     solve_dual_pair,
+    transpose,
     vec_add,
     vec_scale,
     vec_sub,
 )
+
+
+# The pairing that root recognition and the commuting criterion read.
+# `lndkit selftest --fault pairing-sign` swaps it to check that the checks
+# catch a wrong pairing; nothing else may rebind it.
+_pairing = pairing
 
 
 def _require_pointed(cone: Cone) -> None:
@@ -84,7 +92,7 @@ def is_demazure_root(cone: Cone, e) -> DemazureRoot | None:
         raise ValueError("character length does not match the cone rank")
     distinguished = None
     for i, v in enumerate(cone.rays):
-        p = pairing(e, v)
+        p = _pairing(e, v)
         if p == -1:
             if distinguished is not None:
                 return None
@@ -107,32 +115,25 @@ def require_root(cone: Cone, e) -> DemazureRoot:
     return root
 
 
-def enumerate_roots(cone: Cone, bound: int = 10, _pairing=pairing):
+def enumerate_roots(cone: Cone, bound: int = 10):
     """All roots with coordinates in [-bound, bound], sorted by ray then
-    lexicographically. The set of roots need not be finite, hence the box."""
+    lexicographically. The set of roots need not be finite, hence the box.
+
+    The roots on a ray are the box points pairing to -1 with it and
+    nonnegatively with every other ray, so each ray is one pruned
+    ``lattice_points`` scan.
+    """
     _require_pointed(cone)
     found = []
-    for e in product(range(-bound, bound + 1), repeat=cone.rank):
-        distinguished = None
-        ok = True
-        for i, v in enumerate(cone.rays):
-            p = _pairing(e, v)
-            if p == -1:
-                if distinguished is not None:
-                    ok = False
-                    break
-                distinguished = i
-            elif p < 0:
-                ok = False
-                break
-        if ok and distinguished is not None:
-            found.append(DemazureRoot(vector=e, ray=cone.rays[distinguished],
-                                      ray_index=distinguished))
-    found.sort(key=lambda r: (r.ray_index, r.vector))
+    for i, v in enumerate(cone.rays):
+        rows = [(v, -1), (tuple(-x for x in v), 1)]
+        rows += [(r, 0) for r in cone.rays if r != v]
+        found.extend(DemazureRoot(vector=e, ray=v, ray_index=i)
+                     for e in lattice_points(rows, bound))
     return tuple(found)
 
 
-def lnds_commute(a: DemazureRoot, b: DemazureRoot, _pairing=pairing) -> bool:
+def lnds_commute(a: DemazureRoot, b: DemazureRoot) -> bool:
     """Exact commuting criterion for two root derivations.
 
     Same ray always commutes (the commutator coefficient collapses), and
@@ -276,21 +277,16 @@ def find_local_slice(cone: Cone, root: DemazureRoot, cap: int = 64) -> LatticeVe
     """
     _require_pointed(cone)
     v = root.ray
+    rows = [(v, 1), (tuple(-x for x in v), -1)]
+    rows += [(r, 0) for r in cone.rays if r != v]
     b = 1
     while b <= cap:
-        best = None
-        for s in product(range(-b, b + 1), repeat=cone.rank):
-            if pairing(s, v) != 1:
-                continue
-            if any(pairing(s, r) < 0 for r in cone.rays):
-                continue
-            key = (sum(abs(x) for x in s), s)
-            if best is None or key < best:
-                best = key
-        if best is not None and best[0] <= b:
-            s = best[1]
-            assert all(pairing(vec_add(s, root.vector), r) >= 0 for r in cone.rays)
-            return s
+        points = lattice_points(rows, b)
+        # min keeps the first of equal norms, and points are in lex order
+        best = min(points, key=lambda s: sum(abs(x) for x in s), default=None)
+        if best is not None and sum(abs(x) for x in best) <= b:
+            assert all(pairing(vec_add(best, root.vector), r) >= 0 for r in cone.rays)
+            return best
         b *= 2
     raise SearchBoundExceeded("no level-one slice found inside the search box",
                               cap=cap)
@@ -392,13 +388,9 @@ def s_delta(cone: Cone, root: DemazureRoot, perm_cap: int = 40320) -> SemigroupS
         raise SearchBoundExceeded(
             "too many level-preserving permutation candidates", cap=perm_cap)
 
-    # spanning subset of the basis, greedily by rank
-    span = []
-    for idx, h in enumerate(elems):
-        if matrix_rank([elems[i] for i in span] + [h]) > len(span):
-            span.append(idx)
-        if len(span) == n:
-            break
+    # spanning subset of the basis, greedily by rank: the pivot columns of
+    # the basis elements written as columns
+    span = row_reduce(transpose(elems))[1]
     assert len(span) == n, "dual Hilbert basis must span"
     span_matrix = tuple(elems[i] for i in span)
     inv = rational_inverse(span_matrix)
@@ -545,12 +537,6 @@ def root_admissible_nonnormal(generators, weight, shift,
     if failures:
         return AdmissibilityVerdict(status="inadmissible", failures=tuple(failures))
     return AdmissibilityVerdict(status="admissible", failures=())
-
-
-def kernel_monomials(cone: Cone, root: DemazureRoot) -> tuple:
-    """Kernel generators as polynomials, convenient for symbolic checks."""
-    return tuple(Polynomial.monomial(m)
-                 for m in kernel_of_root(cone, root).generators)
 
 
 def symbolic_commute_check(cone: Cone, a: DemazureRoot, b: DemazureRoot) -> bool:

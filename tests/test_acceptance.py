@@ -16,7 +16,6 @@ from lndkit.algebra import (
     ParamPoly,
     Polynomial,
     TrinomialRing,
-    apply_derivation,
     commutator_vanishes_on,
     exponential,
 )
@@ -244,7 +243,7 @@ def _group_law_holds(deriv, p, reducer=None):
     k = 0
     while cur.terms:
         total = total + cur.scale(joined ** k * Fraction(1, factorial(k)))
-        cur = apply_derivation(deriv, cur)
+        cur = deriv.apply(cur)
         k += 1
         assert k < 300, "derivation failed to terminate"
     if reducer is not None:

@@ -171,6 +171,23 @@ def test_bad_vector_length(invoke):
     assert json.loads(err)["position"] == "--root"
 
 
+@pytest.mark.parametrize("argv,stdin_text,flag", [
+    (["cone", "roots", "--bound", "-1"], SQUARE_JSON, "--bound"),
+    (["cone", "kernel", "--root", "1,2,-1", "--hilbert-bound", "-2"],
+     SQUARE_JSON, "--hilbert-bound"),
+    (["cone", "isotropy", "--root", "1,2,-1", "--cap", "-5"], SQUARE_JSON,
+     "--cap"),
+    (["exp", "--root", "1,2,-1", "--weight", "0,0,2", "--cap", "-1"],
+     SQUARE_JSON, "--cap"),
+    (["trinomial", "lnds", "--replica-degree", "-1"], SPLIT_JSON,
+     "--replica-degree"),
+])
+def test_negative_search_size_rejected(invoke, argv, stdin_text, flag):
+    code, out, err = invoke(argv, stdin_text)
+    assert code == 2 and out == ""
+    assert json.loads(err)["position"] == flag
+
+
 def test_trinomial_classify_golden(invoke):
     code, out, _ = invoke(["trinomial", "classify"], SPLIT_JSON)
     assert code == 0

@@ -127,6 +127,32 @@ def test_feasible_point_detects_infeasible_combination():
         2, [], [((1, 0), 1), ((0, 1), 1), ((-1, -1), -1)]) is None
 
 
+def test_lattice_points_against_brute_force():
+    rng = random.Random(404)
+    # zero rows hold on the whole box or on none of it
+    cases = [([((0, 0), 0)], 1), ([((0, 0), 1)], 1),
+             ([((1, 0), 0), ((-1, 0), 0)], 0)]
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            a = tuple(rng.choice((-2, -1, 0, 0, 1, 2, 3)) for _ in range(n))
+            c = rng.randint(-4, 4)
+            rows.append((a, c))
+            if rng.random() < 0.3:
+                # with its opposite row this is the equality <a, x> == c
+                rows.append((tuple(-x for x in a), -c))
+        cases.append((rows, rng.randint(0, 3)))
+    nonempty = 0
+    for rows, bound in cases:
+        n = len(rows[0][0])
+        want = [x for x in product(range(-bound, bound + 1), repeat=n)
+                if all(sum(p * q for p, q in zip(a, x)) >= c for a, c in rows)]
+        assert C.lattice_points(rows, bound) == want
+        nonempty += bool(want)
+    assert 30 < nonempty < 140
+
+
 # ---------------------------------------------------------------------------
 # construction and membership
 
@@ -317,6 +343,7 @@ def test_hilbert_incomplete_flag():
     assert full.complete
     partial = C.hilbert_basis(c, bound=1)
     assert not partial.complete
+    assert not C.hilbert_basis(c, bound=0).complete
     assert set(partial.elements) <= set(full.elements) | {
         p for p in product(range(-1, 2), repeat=2)}
 
@@ -326,16 +353,19 @@ def test_hilbert_random_against_oracle():
     for _ in range(12):
         rank = rng.randint(2, 3)
         c = random_pointed_cone(rng, rank, max_bound=7)
-        hb = C.hilbert_basis(c)
-        assert hb.complete
-        pts = box_points(c, hb.bound)
-        assert set(hb.elements) <= set(pts)
-        # independent irreducibility scan
-        irred = [p for p in pts
-                 if not any(q != p and C.cone_member(c, tuple(a - b for a, b in zip(p, q)))
-                            for q in pts)]
-        assert sorted(irred) == list(hb.elements)
-        # every point of the semigroup in the box decomposes over the basis
+        # a box cut to half the completeness radius, then the complete basis
+        for bound in (C.completeness_bound(c) // 2, None):
+            hb = C.hilbert_basis(c, bound)
+            assert hb.complete == (bound is None)
+            pts = box_points(c, hb.bound)
+            assert set(hb.elements) <= set(pts)
+            # independent irreducibility scan
+            irred = [p for p in pts
+                     if not any(q != p and C.cone_member(c, tuple(a - b for a, b in zip(p, q)))
+                                for q in pts)]
+            assert sorted(irred) == list(hb.elements)
+        # every point of the semigroup in the complete box decomposes over
+        # the complete basis
         for p in pts:
             assert decomposes(c, hb.elements, p)
 

@@ -111,6 +111,45 @@ def test_rational_inverse_round_trip():
     assert seen_invertible > 50
 
 
+def rank_by_minors(a):
+    """Largest k with a nonzero k x k minor, from the Leibniz formula."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    for k in range(min(rows, cols), 0, -1):
+        for rset in combinations(range(rows), k):
+            for cset in combinations(range(cols), k):
+                if leibniz_det(tuple(tuple(a[i][j] for j in cset) for i in rset)):
+                    return k
+    return 0
+
+
+def test_row_reduce_pivots_are_greedy_rank_choice():
+    rng = random.Random(31)
+    for _ in range(150):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 5)
+        a = random_matrix(rng, rows, cols, -3, 3)
+        if rng.random() < 0.3 and rows > 1:
+            # a dependent row, so that rank drops below the row count
+            a = a[:-1] + (tuple(x + y for x, y in zip(a[0], a[1])),)
+        red, pivots = lattice.row_reduce(a)
+        # greedy left-to-right choice of columns that raise the rank
+        greedy = []
+        for j in range(cols):
+            cand = greedy + [j]
+            if rank_by_minors([[row[k] for k in cand] for row in a]) > len(greedy):
+                greedy = cand
+        assert pivots == greedy
+        assert len(red) == len(pivots) == lattice.matrix_rank(a)
+        # reduced echelon shape, and every input row is recovered from it
+        for i, (row, pc) in enumerate(zip(red, pivots)):
+            assert row[pc] == 1 and all(x == 0 for x in row[:pc])
+            assert all(red[k][pc] == 0 for k in range(len(red)) if k != i)
+        for row in a:
+            combo = [sum(row[pc] * r[j] for r, pc in zip(red, pivots))
+                     for j in range(cols)]
+            assert combo == list(row)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 

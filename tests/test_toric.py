@@ -7,10 +7,11 @@ product witnesses nilpotency.
 """
 
 import random
+from functools import lru_cache
 
 import pytest
 
-from lndkit.algebra import Polynomial, apply_derivation, commutator
+from lndkit.algebra import Polynomial, commutator
 from lndkit.cone import Cone, adjacency_set, dual_cone, hilbert_basis, is_pointed, make_cone
 from lndkit.errors import RefusalError, SearchBoundExceeded
 from lndkit.lattice import matrix_rank, pairing, vec_add, vec_scale
@@ -52,6 +53,13 @@ def semigroup_member(cone, m):
     return all(pairing(m, r) >= 0 for r in cone.rays)
 
 
+@lru_cache(maxsize=None)
+def dual_hilbert_basis(cone):
+    hb = hilbert_basis(make_cone(cone.rank, dual_cone(cone).generators))
+    assert hb.complete
+    return hb.elements
+
+
 def oracle_is_root(cone, e):
     """Accept e iff some ray weight makes chi^m -> <m,w> chi^(m+e) a
     well-defined locally nilpotent self-map of the semigroup algebra.
@@ -61,14 +69,12 @@ def oracle_is_root(cone, e):
     product prod_j <h + j e, w>, which vanishes for some k iff <e,w> is
     negative and divides every level.
     """
-    hb = hilbert_basis(make_cone(cone.rank, dual_cone(cone).generators))
-    assert hb.complete
     for w in cone.rays:
         c = pairing(e, w)
         if c >= 0:
             continue
         ok = True
-        for h in hb.elements:
+        for h in dual_hilbert_basis(cone):
             lvl = pairing(h, w)
             if lvl == 0:
                 continue
@@ -199,15 +205,15 @@ def test_non_pointed_cone_refused():
 
 
 def test_enumerate_roots_matches_symbolic_oracle():
+    from itertools import product as iproduct
     rng = random.Random(20260822)
-    for _ in range(12):
-        cone = random_cone(rng, rng.choice([2, 2, 3]))
-        got = {r.vector for r in enumerate_roots(cone, 2)}
-        want = set()
-        from itertools import product as iproduct
-        for e in iproduct(range(-2, 3), repeat=cone.rank):
-            if oracle_is_root(cone, e) is not None:
-                want.add(e)
+    cases = [(random_cone(rng, rng.choice([2, 2, 3])), 2) for _ in range(12)]
+    # rank 4, and the wider box 3
+    cases += [(random_cone(rng, rank), 3) for rank in (2, 3, 4, 4)]
+    for cone, bound in cases:
+        got = {r.vector for r in enumerate_roots(cone, bound)}
+        want = {e for e in iproduct(range(-bound, bound + 1), repeat=cone.rank)
+                if oracle_is_root(cone, e) is not None}
         assert got == want
 
 
@@ -356,7 +362,7 @@ def test_worked_example_kernel_generators():
     assert ker.generators == ((0, 1, 0), (1, 0, 0))
     delta = root.derivation()
     for m in ker.generators:
-        assert apply_derivation(delta, Polynomial.monomial(m)).is_zero()
+        assert delta.apply(Polynomial.monomial(m)).is_zero()
 
 
 def test_kernel_equals_level_zero_hilbert_elements():

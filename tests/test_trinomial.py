@@ -10,7 +10,6 @@ import pytest
 from lndkit.algebra import (
     Polynomial,
     TrinomialRing,
-    apply_derivation,
     exponential,
     is_locally_nilpotent,
 )
@@ -122,13 +121,13 @@ def test_split_ring_derivation_images():
     d1, d2 = elementary_derivations(shape)
     x, y, z1, z2 = variables(RING_SPLIT)
     assert d1.x_index == 0 and d1.z_index == 2
-    assert apply_derivation(d1.derivation, x) == Polynomial.monomial((0, 0, 1, 3), 2)
-    assert apply_derivation(d1.derivation, z1) == Polynomial.monomial((0, 2, 0, 0))
-    assert apply_derivation(d1.derivation, y).is_zero()
-    assert apply_derivation(d1.derivation, z2).is_zero()
+    assert d1.derivation.apply(x) == Polynomial.monomial((0, 0, 1, 3), 2)
+    assert d1.derivation.apply(z1) == Polynomial.monomial((0, 2, 0, 0))
+    assert d1.derivation.apply(y).is_zero()
+    assert d1.derivation.apply(z2).is_zero()
     assert d2.x_index == 0 and d2.z_index == 3
-    assert apply_derivation(d2.derivation, x) == Polynomial.monomial((0, 0, 2, 2), 3)
-    assert apply_derivation(d2.derivation, z2) == Polynomial.monomial((0, 2, 0, 0))
+    assert d2.derivation.apply(x) == Polynomial.monomial((0, 0, 2, 2), 3)
+    assert d2.derivation.apply(z2) == Polynomial.monomial((0, 2, 0, 0))
 
 
 def test_single_ring_derivation_images():
@@ -137,9 +136,9 @@ def test_single_ring_derivation_images():
     assert len(derivs) == 2
     d1 = derivs[0]
     n = RING_SINGLE.nvars
-    assert apply_derivation(d1.derivation, Polynomial.monomial(unit(n, 0))) \
+    assert d1.derivation.apply(Polynomial.monomial(unit(n, 0))) \
         == Polynomial.monomial((0, 0, 0, 0, 0, 2), 3)
-    assert apply_derivation(d1.derivation, Polynomial.monomial(unit(n, 5))) \
+    assert d1.derivation.apply(Polynomial.monomial(unit(n, 5))) \
         == Polynomial.monomial((0, 1, 2, 2, 7, 0))
 
 
@@ -148,7 +147,7 @@ def test_derivations_kill_the_relation():
         shape = classify(ring)
         rel = ring.relation_polynomial()
         for d in elementary_derivations(shape):
-            assert ring.reduce(apply_derivation(d.derivation, rel)).is_zero()
+            assert ring.reduce(d.derivation.apply(rel)).is_zero()
 
 
 def test_derivations_locally_nilpotent():
@@ -187,7 +186,7 @@ def test_kernel_variables():
     assert kernel_variable_indices(shape, d2) == (1, 2)
     for m in kernel_monomials(shape, d2, 3):
         assert m[0] == 0 and m[3] == 0
-        assert apply_derivation(d2.derivation, Polynomial.monomial(m)).is_zero()
+        assert d2.derivation.apply(Polynomial.monomial(m)).is_zero()
 
 
 def test_exponential_preserves_the_relation():
