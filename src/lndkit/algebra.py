@@ -1,10 +1,11 @@
 """Sparse exact polynomial algebra and symbolic derivations.
 
 Monomials are exponent tuples (negative entries allowed, so localized
-monomials work too) and coefficients are Fractions or ParamPoly values,
-whichever the computation needs. ParamPoly covers the formal parameters of
-exponentials, so one-parameter subgroups are manipulated exactly in Q[t]
-or Q[s, t] instead of being sampled at numeric times.
+monomials work too) and coefficients are ints until a division happens,
+then Fractions or ParamPoly values, whichever the computation needs.
+ParamPoly covers the formal parameters of exponentials, so one-parameter
+subgroups are manipulated exactly in Q[t] or Q[s, t] instead of being
+sampled at numeric times.
 
 Derivations are small composable objects with an ``apply`` method; the
 commutator is kept lazy so cross-checks evaluate it on whatever generating
@@ -13,6 +14,7 @@ set the caller trusts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +39,8 @@ class ParamPoly:
         self.vars = tuple(vars)
         clean = {}
         for pw, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c != 0:
                 clean[tuple(pw)] = c
         self.terms = clean
@@ -95,6 +98,8 @@ class ParamPoly:
         return ParamPoly.coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ParamPoly(self.vars, {pw: c * other for pw, c in self.terms.items()})
         vs, a, b = self._aligned(other)
         out = {}
         for pa, ca in a.items():
@@ -127,9 +132,13 @@ class ParamPoly:
         return NotImplemented
 
     def __hash__(self):
-        # hash through a canonical form with unused vars dropped
-        used = [i for i in range(len(self.vars))
-                if any(pw[i] for pw in self.terms)]
+        # constants hash as their value, since they compare equal to it;
+        # otherwise hash a canonical form: unused vars dropped, names sorted
+        value = self.constant_value()
+        if value is not None:
+            return hash(value)
+        used = sorted((i for i in range(len(self.vars))
+                       if any(pw[i] for pw in self.terms)), key=self.vars.__getitem__)
         vs = tuple(self.vars[i] for i in used)
         items = frozenset((tuple(pw[i] for i in used), c)
                           for pw, c in self.terms.items())
@@ -219,8 +228,6 @@ class Polynomial:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                if isinstance(c, int):
-                    c = Fraction(c)
                 if not _coeff_zero(c):
                     clean[tuple(exp)] = c
         self.terms = clean
@@ -245,13 +252,15 @@ class Polynomial:
     def __add__(self, other):
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
+            cur = out.get(exp)
+            out[exp] = c if cur is None else cur + c
         return Polynomial(out)
 
     def __sub__(self, other):
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) - c
+            cur = out.get(exp)
+            out[exp] = -c if cur is None else cur - c
         return Polynomial(out)
 
     def __neg__(self):
@@ -280,9 +289,7 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(
-            (exp, c if isinstance(c, ParamPoly) else Fraction(c))
-            for exp, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def map_coefficients(self, fn):
         return Polynomial({exp: fn(c) for exp, c in self.terms.items()})
@@ -325,12 +332,9 @@ class MonomialShiftDerivation(Derivation):
         out = {}
         for exp, c in poly.terms.items():
             k = pairing(exp, self.weight)
-            if k == 0:
-                continue
-            key = vec_add(exp, self.shift)
-            cur = out.get(key)
-            add = c * k
-            out[key] = add if cur is None else cur + add
+            if k:
+                # m -> m + shift is injective, so no two terms collide
+                out[vec_add(exp, self.shift)] = c * k
         return Polynomial(out)
 
 
@@ -348,7 +352,7 @@ class VariableImagesDerivation(Derivation):
         self.reducer = reducer
 
     def apply(self, poly: Polynomial) -> Polynomial:
-        total = Polynomial.zero()
+        out = {}
         for exp, c in poly.terms.items():
             for i, image in self.images.items():
                 a = exp[i]
@@ -356,8 +360,12 @@ class VariableImagesDerivation(Derivation):
                     continue
                 lowered = list(exp)
                 lowered[i] -= 1
-                partial = Polynomial.monomial(tuple(lowered), c * a) * image
-                total = total + partial
+                ca = c * a
+                for e2, c2 in image.terms.items():
+                    key = vec_add(lowered, e2)
+                    cur = out.get(key)
+                    out[key] = ca * c2 if cur is None else cur + ca * c2
+        total = Polynomial(out)
         if self.reducer is not None:
             total = self.reducer(total)
         return total
@@ -472,8 +480,7 @@ def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
     Requires the iteration to terminate within the cap; the sum
     sum_k param^k/k! delta^k(poly) is returned with ParamPoly coefficients.
     """
-    t = ParamPoly.variable(param)
-    out = Polynomial.zero()
+    out = {}
     current = poly
     k = 0
     factorial = 1
@@ -481,12 +488,14 @@ def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
         if k > cap:
             raise SearchBoundExceeded(
                 f"exponential did not terminate within {cap} steps", cap=cap)
-        coeff = t ** k / factorial
-        out = out + current.map_coefficients(lambda c: coeff * c)
+        coeff = ParamPoly((param,), {(k,): Fraction(1, factorial)})
+        for exp, c in current.terms.items():
+            cur = out.get(exp)
+            out[exp] = coeff * c if cur is None else cur + coeff * c
         current = derivation.apply(current)
         k += 1
         factorial *= k
-    return out
+    return Polynomial(out)
 
 
 def homogeneous_components(poly: Polynomial, degree_fn):
@@ -529,11 +538,7 @@ class TrinomialRing:
         self.n1 = len(self.l1)
         self.n2 = len(self.l2)
         self.nvars = self.n0 + self.n1 + self.n2
-
-    def block_slices(self):
-        a = self.n0
-        b = a + self.n1
-        return slice(0, a), slice(a, b), slice(b, self.nvars)
+        self._sub = self.substitute_polynomial()
 
     def _monomial(self, block_exps) -> tuple[int, ...]:
         t0, t1, t2 = block_exps
@@ -552,8 +557,7 @@ class TrinomialRing:
         return Polynomial.monomial(self.leading_monomial()) - self.substitute_polynomial()
 
     def _reducible(self, exp) -> bool:
-        _, s1, _ = self.block_slices()
-        return all(a >= b for a, b in zip(exp[s1], self.l1))
+        return all(map(operator.ge, exp[self.n0:self.n0 + self.n1], self.l1))
 
     def reduce(self, poly: Polynomial) -> Polynomial:
         """Normal form: no term divisible by the T1 leading monomial.
@@ -562,7 +566,6 @@ class TrinomialRing:
         so the loop terminates; the single-relation system is confluent, and
         the rewrite target is chosen canonically anyway.
         """
-        sub = self.substitute_polynomial()
         work = dict(poly.terms)
         while True:
             targets = [exp for exp in work if self._reducible(exp)]
@@ -573,13 +576,14 @@ class TrinomialRing:
             rest = list(exp)
             for i, b in enumerate(self.l1):
                 rest[self.n0 + i] -= b
-            replaced = Polynomial.monomial(tuple(rest), c) * sub
-            for e2, c2 in replaced.terms.items():
-                tot = work.get(e2, Fraction(0)) + c2
+            for es, cs in self._sub.terms.items():
+                key = vec_add(rest, es)
+                cur = work.get(key)
+                tot = c * cs if cur is None else cur + c * cs
                 if _coeff_zero(tot):
-                    work.pop(e2, None)
+                    work.pop(key, None)
                 else:
-                    work[e2] = tot
+                    work[key] = tot
         return Polynomial(work)
 
     def variable(self, index: int) -> Polynomial:

@@ -12,6 +12,7 @@ including the choice of pivots.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -24,11 +25,11 @@ def pairing(m: LatticeVector, v: LatticeVector) -> int:
     """Evaluation <m, v> of a character on a one-parameter subgroup."""
     if len(m) != len(v):
         raise ValueError(f"pairing needs equal lengths, got {len(m)} and {len(v)}")
-    return sum(a * b for a, b in zip(m, v))
+    return sum(map(operator.mul, m, v))
 
 
 def vec_add(a: LatticeVector, b: LatticeVector) -> LatticeVector:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vec_sub(a: LatticeVector, b: LatticeVector) -> LatticeVector:

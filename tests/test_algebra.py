@@ -20,7 +20,9 @@ ROOT = (1, 2, -1)
 
 def poly_strategy(dim=2, max_terms=4, exp_range=3):
     exp = st.tuples(*[st.integers(-exp_range, exp_range)] * dim)
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coeff = st.one_of(
+        st.integers(-4, 4),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3))
     return st.dictionaries(exp, coeff, max_size=max_terms).map(A.Polynomial)
 
 
@@ -77,6 +79,20 @@ def test_parampoly_alignment_and_equality():
     assert not (s == 0)
 
 
+def test_parampoly_hash_agrees_with_equality():
+    two = A.ParamPoly.constant(2)
+    assert two == 2 and hash(two) == hash(2)
+    half = A.ParamPoly(("t",), {(0,): Fraction(1, 2)})
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert hash(A.ParamPoly.constant(0)) == hash(0)
+    # the same s t^2 with its parameters listed in either order
+    s_first = A.ParamPoly(("s", "t"), {(1, 2): 1})
+    t_first = A.ParamPoly(("t", "s"), {(2, 1): 1})
+    assert s_first == t_first and hash(s_first) == hash(t_first)
+    e = (1, 0)
+    assert len({A.Polynomial({e: two}), A.Polynomial({e: 2})}) == 1
+
+
 def test_parampoly_substitute():
     s, t = A.ParamPoly.variable("s"), A.ParamPoly.variable("t")
     u = A.ParamPoly.variable("u")
@@ -108,6 +124,16 @@ def test_polynomial_basics():
     laurent = A.Polynomial.monomial((-1, 0)) * x
     assert laurent == A.Polynomial.monomial((0, 0))
     assert x.coefficient((1, 0)) == 1
+    # integral inputs keep int coefficients through ring operations
+    for p in ((x + y) * (x - y), (x + y) * (x + y), x.scale(3) - y):
+        assert all(type(c) is int for c in p.terms.values())
+    t = A.ParamPoly.variable("t")
+    for c in (3, Fraction(1, 2)):
+        aligned = t * A.ParamPoly.constant(c)
+        assert t * c == aligned and c * t == aligned
+        assert str(t * c) == str(aligned) and hash(t * c) == hash(aligned)
+    with pytest.raises(TypeError):
+        t * A.Polynomial.monomial((1,))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +170,15 @@ def test_leibniz_variable_images(p, q):
         1: A.Polynomial.monomial((1, 0)),
     })
     assert d.apply(p * q) == d.apply(p) * q + p * d.apply(q)
+    # multi-term images: (y + x^2) d/dx + (-x + 1/2 x y) d/dy, whose Leibniz
+    # terms collide and cancel, e.g. the 2xy terms of d(x^2 + y^2)
+    e = A.VariableImagesDerivation(2, {
+        0: A.Polynomial({(0, 1): 1, (2, 0): 1}),
+        1: A.Polynomial({(1, 0): -1, (1, 1): Fraction(1, 2)}),
+    })
+    assert e.apply(p * q) == e.apply(p) * q + p * e.apply(q)
+    assert e.apply(A.Polynomial({(2, 0): 1, (0, 2): 1})) == A.Polynomial(
+        {(3, 0): 2, (1, 2): 1})
 
 
 @settings(max_examples=50, deadline=None)
