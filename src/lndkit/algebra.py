@@ -7,9 +7,10 @@ ParamPoly covers the formal parameters of exponentials, so one-parameter
 subgroups are manipulated exactly in Q[t] or Q[s, t] instead of being
 sampled at numeric times.
 
-Derivations are small composable objects with an ``apply`` method; the
-commutator is kept lazy so cross-checks evaluate it on whatever generating
-set the caller trusts.
+A derivation is given by what it does to monomials: a monomial shift, or
+the images of the variables. Commutators are never built as objects; a
+cross-check compares a(b(g)) with b(a(g)) on whatever generating set the
+caller trusts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SearchBoundExceeded
-from .lattice import pairing, vec_add, vec_sub
+from .lattice import pairing, vec_add
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +314,6 @@ class Derivation:
     def apply(self, poly: Polynomial) -> Polynomial:
         raise NotImplementedError
 
-    def __call__(self, poly: Polynomial) -> Polynomial:
-        return self.apply(poly)
-
 
 class MonomialShiftDerivation(Derivation):
     """chi^m maps to <m, weight> chi^(m + shift), extended linearly.
@@ -371,51 +369,13 @@ class VariableImagesDerivation(Derivation):
         return total
 
 
-class ScaledDerivation(Derivation):
-    """multiplier * base. The caller is responsible for the multiplier
-    lying in the kernel when the result is supposed to stay locally
-    nilpotent."""
-
-    def __init__(self, multiplier: Polynomial, base: Derivation, reducer=None):
-        self.multiplier = multiplier
-        self.base = base
-        self.reducer = reducer
-
-    def apply(self, poly: Polynomial) -> Polynomial:
-        out = self.multiplier * self.base.apply(poly)
-        if self.reducer is not None:
-            out = self.reducer(out)
-        return out
-
-
-class CommutatorDerivation(Derivation):
-    """[a, b], evaluated lazily."""
-
-    def __init__(self, a: Derivation, b: Derivation, reducer=None):
-        self.a = a
-        self.b = b
-        self.reducer = reducer
-
-    def apply(self, poly: Polynomial) -> Polynomial:
-        out = self.a.apply(self.b.apply(poly)) - self.b.apply(self.a.apply(poly))
-        if self.reducer is not None:
-            out = self.reducer(out)
-        return out
-
-
-def commutator(a: Derivation, b: Derivation, reducer=None) -> CommutatorDerivation:
-    return CommutatorDerivation(a, b, reducer=reducer)
-
-
-def commutator_vanishes_on(a: Derivation, b: Derivation, generators,
-                           reducer=None) -> bool:
+def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
     """Whether [a, b] kills every given generator.
 
     A derivation vanishing on algebra generators vanishes everywhere, so
     this is an exact zero test as long as the generators generate.
     """
-    bracket = commutator(a, b, reducer=reducer)
-    return all(bracket.apply(g).is_zero() for g in generators)
+    return all(a.apply(b.apply(g)) == b.apply(a.apply(g)) for g in generators)
 
 
 @dataclass(frozen=True)
@@ -590,6 +550,3 @@ class TrinomialRing:
         exp = [0] * self.nvars
         exp[index] = 1
         return Polynomial.monomial(tuple(exp))
-
-    def variables(self):
-        return tuple(self.variable(i) for i in range(self.nvars))

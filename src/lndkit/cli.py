@@ -275,6 +275,10 @@ def cmd_cone_isotropy(args) -> int:
     report = toric_isotropy_report(cone, root.vector,
                                    hilbert_bound=args.hilbert_bound,
                                    cap=args.cap)
+    if not report.kernel.complete:
+        raise SearchBoundExceeded(
+            "the Hilbert bound is below the completeness radius, so the "
+            "kernel generators would be partial", cap=args.hilbert_bound)
     return _emit(args, {
         "kernel_generators": [list(g) for g in report.kernel.generators],
         "maximal": report.maximality.maximal,
@@ -320,9 +324,7 @@ def cmd_trinomial_rigid(args) -> int:
 def _derivation_json(ring, deriv):
     images = {}
     for v in (deriv.x_index, deriv.z_index):
-        exp = tuple(1 if j == v else 0 for j in range(ring.nvars))
-        images[str(v)] = _poly_json(
-            deriv.derivation.apply(Polynomial.monomial(exp)))
+        images[str(v)] = _poly_json(deriv.derivation.apply(ring.variable(v)))
     return {
         "images": images,
         "label": deriv.label(),
@@ -614,40 +616,47 @@ def _build_parser():
                        help="JSON input file, - or omitted for stdin")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
-    cone = sub.add_parser("cone", help="pointed cone questions")
-    cone_sub = cone.add_subparsers(dest="subcommand", required=True)
-    for name, fn in (("roots", cmd_cone_roots), ("maximal", cmd_cone_maximal),
-                     ("commute", cmd_cone_commute), ("kernel", cmd_cone_kernel),
-                     ("isotropy", cmd_cone_isotropy)):
-        p = cone_sub.add_parser(name)
-        common(p)
-        p.add_argument("--root", action="append",
-                       help="root character a,b,c (repeatable)")
-        p.add_argument("--bound", type=int, default=DEFAULT_ROOT_BOUND)
-        p.add_argument("--hilbert-bound", type=int, default=None,
-                       dest="hilbert_bound")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-        p.set_defaults(handler=fn)
+    # each subcommand takes only the flags its handler reads, spelled in
+    # full: an abbreviation would let --replica pass for --replica-degree
+    flags = {
+        "--root": dict(action="append",
+                       help="root character a,b,c (repeatable)"),
+        "--bound": dict(type=int, default=DEFAULT_ROOT_BOUND),
+        "--hilbert-bound": dict(type=int),
+        "--cap": dict(type=int, default=DEFAULT_CAP),
+        "--lnd": dict(help="derivation choice i or i,j, one-based within "
+                           "the plain and power blocks"),
+        "--replica": dict(help="kernel monomial exponents e1,...,en"),
+        "--replica-degree": dict(
+            type=int, help="also list maximal multipliers up to this degree"),
+    }
 
-    tri = sub.add_parser("trinomial", help="trinomial hypersurface questions")
-    tri_sub = tri.add_subparsers(dest="subcommand", required=True)
-    for name, fn in (("classify", cmd_trinomial_classify),
-                     ("rigid", cmd_trinomial_rigid),
-                     ("lnds", cmd_trinomial_lnds),
-                     ("isotropy", cmd_trinomial_isotropy)):
-        p = tri_sub.add_parser(name)
-        common(p)
-        p.add_argument("--lnd", default=None,
-                       help="derivation choice i or i,j, one-based within "
-                            "the plain and power blocks")
-        p.add_argument("--replica", default=None,
-                       help="kernel monomial exponents e1,...,en")
-        p.add_argument("--replica-degree", type=int, default=None,
-                       dest="replica_degree",
-                       help="also list maximal multipliers up to this degree")
-        p.set_defaults(handler=fn)
+    def group(name, help_text, commands):
+        group_sub = sub.add_parser(name, help=help_text).add_subparsers(
+            dest="subcommand", required=True)
+        for command, fn, takes in commands:
+            p = group_sub.add_parser(command, allow_abbrev=False)
+            common(p)
+            for flag in takes:
+                p.add_argument(flag, **flags[flag])
+            p.set_defaults(handler=fn)
 
-    exp = sub.add_parser("exp", help="exponential automorphism of a monomial")
+    group("cone", "pointed cone questions", (
+        ("roots", cmd_cone_roots, ("--bound",)),
+        ("maximal", cmd_cone_maximal, ("--root",)),
+        ("commute", cmd_cone_commute, ("--root",)),
+        ("kernel", cmd_cone_kernel, ("--root", "--hilbert-bound")),
+        ("isotropy", cmd_cone_isotropy, ("--root", "--hilbert-bound", "--cap")),
+    ))
+    group("trinomial", "trinomial hypersurface questions", (
+        ("classify", cmd_trinomial_classify, ()),
+        ("rigid", cmd_trinomial_rigid, ()),
+        ("lnds", cmd_trinomial_lnds, ("--replica-degree",)),
+        ("isotropy", cmd_trinomial_isotropy, ("--lnd", "--replica")),
+    ))
+
+    exp = sub.add_parser("exp", allow_abbrev=False,
+                         help="exponential automorphism of a monomial")
     common(exp)
     exp.add_argument("--root", action="append")
     exp.add_argument("--lnd", default=None)
@@ -657,7 +666,8 @@ def _build_parser():
     exp.add_argument("--cap", type=int, default=DEFAULT_CAP)
     exp.set_defaults(handler=cmd_exp)
 
-    selftest = sub.add_parser("selftest", help="run the built-in checks")
+    selftest = sub.add_parser("selftest", allow_abbrev=False,
+                              help="run the built-in checks")
     selftest.add_argument("--format", choices=("json", "text"), default="json")
     selftest.add_argument("--fault", choices=("pairing-sign",), default=None,
                           help="inject a deliberate defect to verify that "

@@ -15,8 +15,8 @@ errors carrying a witness instead of returning a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
+from math import factorial, prod
 
 from .algebra import (
     MonomialShiftDerivation,
@@ -42,6 +42,8 @@ from .lattice import (
     LatticeQuotient,
     determinant,
     extends_to_basis,
+    mat_mul,
+    mat_vec,
     pairing,
     quasitorus_kernel,
     rational_inverse,
@@ -49,6 +51,7 @@ from .lattice import (
     solve_dual_pair,
     transpose,
     vec_add,
+    vec_mat,
     vec_scale,
     vec_sub,
 )
@@ -378,13 +381,7 @@ def s_delta(cone: Cone, root: DemazureRoot, perm_cap: int = 40320) -> SemigroupS
     for idx, h in enumerate(elems):
         levels.setdefault(pairing(h, root.ray), []).append(idx)
     classes = [tuple(ix) for _, ix in sorted(levels.items())]
-    total = 1
-    for c in classes:
-        f = 1
-        for k in range(2, len(c) + 1):
-            f *= k
-        total *= f
-    if total > perm_cap:
+    if prod(factorial(len(c)) for c in classes) > perm_cap:
         raise SearchBoundExceeded(
             "too many level-preserving permutation candidates", cap=perm_cap)
 
@@ -401,33 +398,17 @@ def s_delta(cone: Cone, root: DemazureRoot, perm_cap: int = 40320) -> SemigroupS
         for orig, permuted in zip(classes, parts):
             for a, b in zip(orig, permuted):
                 mapping[a] = b
-        target = tuple(elems[mapping[i]] for i in span)
-        g_rows = []
-        integral = True
-        for row in inv:
-            out = []
-            for j in range(n):
-                val = sum(row[k] * Fraction(target[k][j]) for k in range(n))
-                if val.denominator != 1:
-                    integral = False
-                    break
-                out.append(int(val))
-            if not integral:
-                break
-            g_rows.append(tuple(out))
-        if not integral:
+        g = mat_mul(inv, tuple(elems[mapping[i]] for i in span))
+        if any(x.denominator != 1 for row in g for x in row):
             continue
-        g = tuple(g_rows)
+        g = tuple(tuple(int(x) for x in row) for row in g)
         if abs(determinant(g)) != 1:
             continue
-        if tuple(sum(root.vector[i] * g[i][j] for i in range(n))
-                 for j in range(n)) != root.vector:
+        if vec_mat(root.vector, g) != root.vector:
             continue
-        if tuple(sum(g[i][j] * root.ray[j] for j in range(n))
-                 for i in range(n)) != root.ray:
+        if mat_vec(g, root.ray) != root.ray:
             continue
-        if any(tuple(sum(elems[a][i] * g[i][j] for i in range(n))
-                     for j in range(n)) != elems[mapping[a]]
+        if any(vec_mat(elems[a], g) != elems[mapping[a]]
                for a in range(len(elems))):
             continue
         found.append(g)

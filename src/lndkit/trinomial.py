@@ -20,7 +20,6 @@ from math import factorial
 from .algebra import (
     Derivation,
     Polynomial,
-    ScaledDerivation,
     TrinomialRing,
     VariableImagesDerivation,
     commutator_vanishes_on,
@@ -158,8 +157,16 @@ class TrinomialDerivation:
         return "{}*{}".format(mono or "1", core)
 
 
-def _unit(n, i, value=1):
-    return tuple(value if j == i else 0 for j in range(n))
+def _stabilized_monomial(shape: TrinomialShape, x_index: int) -> tuple:
+    """The product of the plain variables other than x_index and all
+    higher-power product variables: the image of the power variable."""
+    m = [0] * shape.ring.nvars
+    for xi in shape.x_indices:
+        if xi != x_index:
+            m[xi] = 1
+    for yi, a in zip(shape.y_indices, shape.y_exponents):
+        m[yi] = a
+    return tuple(m)
 
 
 def derivation_for(shape: TrinomialShape, x_index: int,
@@ -180,6 +187,13 @@ def derivation_for(shape: TrinomialShape, x_index: int,
         if z_index not in shape.z_indices:
             raise ValueError("z_index must be a power-block variable")
     n = ring.nvars
+    if replica is not None:
+        replica = tuple(int(e) for e in replica)
+        if len(replica) != n or any(e < 0 for e in replica):
+            raise ValueError("replica exponent vector is malformed")
+        if replica[x_index] or replica[z_index]:
+            raise ValueError("replica multiplier must be a kernel monomial: "
+                             "it cannot involve the two moved variables")
 
     # image of the plain variable: the z-partial of the power product
     z_exp = [0] * n
@@ -188,32 +202,14 @@ def derivation_for(shape: TrinomialShape, x_index: int,
     z_exp[z_index] -= 1
     lead_coeff = dict(zip(shape.z_indices, shape.z_exponents))[z_index]
     x_image = Polynomial.monomial(tuple(z_exp), lead_coeff)
-
-    # image of the power variable: the product of the remaining plain
-    # variables and all higher-power product variables
-    m_exp = [0] * n
-    for xi in shape.x_indices:
-        if xi != x_index:
-            m_exp[xi] = 1
-    for yi, a in zip(shape.y_indices, shape.y_exponents):
-        m_exp[yi] = a
-    z_image = Polynomial.monomial(tuple(m_exp))
-
-    base = VariableImagesDerivation(n, {x_index: x_image, z_index: z_image},
-                                    reducer=ring.reduce)
-    if replica is None:
-        return TrinomialDerivation(x_index=x_index, z_index=z_index,
-                                   replica=None, derivation=base)
-    replica = tuple(int(e) for e in replica)
-    if len(replica) != n or any(e < 0 for e in replica):
-        raise ValueError("replica exponent vector is malformed")
-    if replica[x_index] or replica[z_index]:
-        raise ValueError("replica multiplier must be a kernel monomial: it "
-                         "cannot involve the two moved variables")
-    scaled = ScaledDerivation(Polynomial.monomial(replica), base,
-                              reducer=ring.reduce)
+    z_image = Polynomial.monomial(_stabilized_monomial(shape, x_index))
+    if replica is not None:
+        h = Polynomial.monomial(replica)
+        x_image, z_image = h * x_image, h * z_image
+    derivation = VariableImagesDerivation(
+        n, {x_index: x_image, z_index: z_image}, reducer=ring.reduce)
     return TrinomialDerivation(x_index=x_index, z_index=z_index,
-                               replica=replica, derivation=scaled)
+                               replica=replica, derivation=derivation)
 
 
 def elementary_derivations(shape: TrinomialShape) -> tuple:
@@ -260,10 +256,8 @@ def pair_commutes(ring: TrinomialRing, a: TrinomialDerivation,
                   b: TrinomialDerivation) -> bool:
     """Exact symbolic test: the commutator is a derivation, so vanishing
     on every generator decides it."""
-    gens = [Polynomial.monomial(_unit(ring.nvars, i))
-            for i in range(ring.nvars)]
-    return commutator_vanishes_on(a.derivation, b.derivation, gens,
-                                  reducer=ring.reduce)
+    gens = [ring.variable(i) for i in range(ring.nvars)]
+    return commutator_vanishes_on(a.derivation, b.derivation, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +324,10 @@ def derivation_degree(shape: TrinomialShape,
     quotient = grading_group(ring)
     lifts = []
     for v in (deriv.x_index, deriv.z_index):
-        image = deriv.derivation.apply(Polynomial.monomial(_unit(ring.nvars, v)))
-        (exp,) = image.support()
-        lifts.append(vec_sub(exp, _unit(ring.nvars, v)))
+        variable = ring.variable(v)
+        (exp,) = deriv.derivation.apply(variable).support()
+        (unit,) = variable.support()
+        lifts.append(vec_sub(exp, unit))
     assert quotient.same_class(lifts[0], lifts[1])
     return tuple(sorted(lifts))
 
@@ -372,12 +367,7 @@ def symmetry_factors(shape: TrinomialShape,
     ring = shape.ring
     n = ring.nvars
     h = deriv.replica or (0,) * n
-    h1 = [0] * n
-    for xi in shape.x_indices:
-        if xi != deriv.x_index:
-            h1[xi] = 1
-    for yi, a in zip(shape.y_indices, shape.y_exponents):
-        h1[yi] = a
+    h1 = _stabilized_monomial(shape, deriv.x_index)
     h2 = [0] * n
     for zi, l in zip(shape.z_indices, shape.z_exponents):
         if zi != deriv.z_index:
@@ -444,18 +434,6 @@ class TrinomialIsotropyReport:
     discrepancies: tuple
 
 
-def _stabilized_monomial(shape: TrinomialShape,
-                         deriv: TrinomialDerivation) -> tuple:
-    ring = shape.ring
-    m = [0] * ring.nvars
-    for xi in shape.x_indices:
-        if xi != deriv.x_index:
-            m[xi] = 1
-    for yi, a in zip(shape.y_indices, shape.y_exponents):
-        m[yi] = a
-    return tuple(m)
-
-
 def trinomial_isotropy_report(ring: TrinomialRing, x_index: int | None = None,
                               z_index: int | None = None,
                               replica=None) -> TrinomialIsotropyReport:
@@ -496,12 +474,12 @@ def trinomial_isotropy_report(ring: TrinomialRing, x_index: int | None = None,
         (ring.l0, ring.l1, ring.l2, x_index) if replica is None and
         shape.kind == "single_z" else None)
     if ref is not None:
-        image = deriv.derivation.apply(
-            Polynomial.monomial(_unit(ring.nvars, deriv.z_index)))
+        image = deriv.derivation.apply(ring.variable(deriv.z_index))
         (power_image,) = image.support()
         computed = {
             "power_image_exponents": power_image,
-            "stabilized_monomial_exponents": _stabilized_monomial(shape, deriv),
+            "stabilized_monomial_exponents":
+                _stabilized_monomial(shape, deriv.x_index),
             "symmetry_order": symmetries.order,
         }
         for field, got in sorted(computed.items()):

@@ -119,6 +119,16 @@ def test_cone_isotropy_golden(invoke):
     assert data["kernel_generators"] == [[0, 1, 0], [1, 0, 0]]
 
 
+def test_cone_isotropy_partial_kernel_refused(invoke):
+    # the kernel of -1,0 is generated by [0, 1]; a Hilbert bound of 0 finds
+    # none of it, so the report must refuse rather than print []
+    code, out, _ = invoke(["cone", "isotropy", "--root", "-1,0",
+                           "--hilbert-bound", "0"], ORTHANT2_JSON)
+    assert code == 1
+    data = json.loads(out)
+    assert data["refused"] is True and data["cap"] == 0
+
+
 def test_cone_nonroot_refused(invoke):
     code, out, err = invoke(["cone", "maximal", "--root", "0,0,1"],
                             SQUARE_JSON)
@@ -186,6 +196,32 @@ def test_negative_search_size_rejected(invoke, argv, stdin_text, flag):
     code, out, err = invoke(argv, stdin_text)
     assert code == 2 and out == ""
     assert json.loads(err)["position"] == flag
+
+
+@pytest.mark.parametrize("argv,stdin_text", [
+    (["cone", "roots", "--root", "1,2,-1"], SQUARE_JSON),
+    (["cone", "roots", "--cap", "3"], SQUARE_JSON),
+    (["cone", "maximal", "--root", "1,2,-1", "--bound", "2"], SQUARE_JSON),
+    (["cone", "maximal", "--root", "1,2,-1", "--hilbert-bound", "2"],
+     SQUARE_JSON),
+    (["cone", "commute", "--root", "1,2,-1", "--root", "-1,0,1", "--cap",
+      "3"], SQUARE_JSON),
+    (["cone", "kernel", "--root", "1,2,-1", "--cap", "3"], SQUARE_JSON),
+    (["cone", "kernel", "--root", "1,2,-1", "--bound", "2"], SQUARE_JSON),
+    (["cone", "isotropy", "--root", "1,2,-1", "--bound", "2"], SQUARE_JSON),
+    (["trinomial", "classify", "--lnd", "1"], SPLIT_JSON),
+    (["trinomial", "rigid", "--replica-degree", "1"], SPLIT_JSON),
+    (["trinomial", "lnds", "--replica", "9,9,9,9"], SPLIT_JSON),
+    (["trinomial", "lnds", "--lnd", "7"], SPLIT_JSON),
+    (["trinomial", "lnds", "--replica", "2"], SPLIT_JSON),
+    (["exp", "--root", "1,2,-1", "--weight", "0,0,2", "--form", "text"],
+     SQUARE_JSON),
+    (["trinomial", "isotropy", "--replica-degree", "1"], SINGLE_JSON),
+])
+def test_unread_flag_rejected(invoke, argv, stdin_text):
+    with pytest.raises(SystemExit) as exc:
+        invoke(argv, stdin_text)
+    assert exc.value.code == 2
 
 
 def test_trinomial_classify_golden(invoke):
@@ -303,6 +339,19 @@ def test_exp_trinomial_series(invoke):
     assert data["series"] == [
         {"coeff": "2*t", "exp": [0, 0, 1, 3]},
         {"coeff": "t^2", "exp": [0, 2, 0, 3]},
+        {"coeff": "1", "exp": [1, 0, 0, 0]},
+    ]
+
+
+def test_exp_trinomial_replica_series(invoke):
+    code, out, _ = invoke(["exp", "--lnd", "1,1", "--replica", "0,0,0,1",
+                           "--weight", "1,0,0,0"], SPLIT_JSON)
+    assert code == 0
+    data = json.loads(out)
+    assert data["label"] == "T3*d[0,2]"
+    assert data["series"] == [
+        {"coeff": "2*t", "exp": [0, 0, 1, 4]},
+        {"coeff": "t^2", "exp": [0, 2, 0, 5]},
         {"coeff": "1", "exp": [1, 0, 0, 0]},
     ]
 

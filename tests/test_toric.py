@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from lndkit.algebra import Polynomial, commutator
+from lndkit.algebra import Polynomial
 from lndkit.cone import Cone, adjacency_set, dual_cone, hilbert_basis, is_pointed, make_cone
 from lndkit.errors import RefusalError, SearchBoundExceeded
 from lndkit.lattice import matrix_rank, pairing, vec_add, vec_scale
@@ -476,6 +476,18 @@ def test_symmetries_match_brute_permutation_route():
         root = require_root(cone, e)
         sym = s_delta(cone, root)
         assert set(sym.matrices) == brute_symmetries(cone, root)
+
+
+def test_symmetries_permutation_cap_counts_candidates():
+    # levels against e1: {e1} and {e2, e3, e4}, so 1! * 3! = 6 candidates,
+    # and every one of them is a symmetry
+    orthant4 = make_cone(4, [tuple(int(i == j) for j in range(4))
+                             for i in range(4)])
+    root = require_root(orthant4, (-1, 0, 0, 0))
+    assert s_delta(orthant4, root, perm_cap=6).order == 6
+    with pytest.raises(SearchBoundExceeded) as exc:
+        s_delta(orthant4, root, perm_cap=5)
+    assert exc.value.cap == 5
 
 
 def test_symmetries_form_a_group():

@@ -166,6 +166,23 @@ def test_replica_locally_nilpotent():
     assert verdict.nilpotent is True
 
 
+@pytest.mark.parametrize("ring", [RING_SPLIT,
+                                  TrinomialRing((), (1, 1, 2), (2, 2))])
+def test_replica_is_kernel_monomial_times_base(ring):
+    # oracle: apply the base derivation, multiply by h, reduce again
+    rng = random.Random(11)
+    shape = classify(ring)
+    for base in elementary_derivations(shape):
+        for h in kernel_monomials(shape, base, 2):
+            rep = derivation_for(shape, base.x_index, base.z_index, h)
+            for _ in range(5):
+                p = Polynomial({
+                    tuple(rng.randrange(4) for _ in range(ring.nvars)):
+                    rng.randrange(-3, 4) for _ in range(4)})
+                assert rep.derivation.apply(p) == ring.reduce(
+                    Polynomial.monomial(h) * base.derivation.apply(p))
+
+
 def test_derivation_for_validation():
     shape = classify(RING_SPLIT)
     with pytest.raises(ValueError):
