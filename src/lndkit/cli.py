@@ -9,6 +9,7 @@ input was malformed. All output is byte-deterministic for a given input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -435,6 +436,10 @@ def cmd_exp(args) -> int:
         raise InputError("--weight is required", position="--weight")
     if isinstance(obj, dict) and "rays" in obj:
         cone = _cone_from(obj)
+        for flag, value in (("--lnd", args.lnd), ("--replica", args.replica)):
+            if value is not None:
+                raise InputError(flag + " applies to a trinomial input",
+                                 position=flag)
         root = _single_root(args, cone)
         weight = _parse_vector(args.weight, "--weight", length=cone.rank)
         if any(pairing(weight, r) < 0 for r in cone.rays):
@@ -449,6 +454,8 @@ def cmd_exp(args) -> int:
             "weight": list(weight),
         })
     ring = _ring_from(obj)
+    if args.root is not None:
+        raise InputError("--root applies to a cone input", position="--root")
     shape = classify(ring)
     x_index, z_index, replica = _trinomial_derivation_from_args(args, shape)
     deriv = derivation_for(shape, x_index, z_index, replica)
@@ -603,7 +610,9 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="lndkit",
         description="Exact decisions about homogeneous locally nilpotent "

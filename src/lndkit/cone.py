@@ -29,8 +29,6 @@ from .lattice import (
     row_reduce,
 )
 
-Row = tuple[tuple[Fraction, ...], Fraction]  # coeffs . x  (cmp)  rhs
-
 
 # ---------------------------------------------------------------------------
 # exact linear feasibility
@@ -56,15 +54,23 @@ def feasible_point(nvars: int, eqs, ineqs):
     Equalities are removed by Gaussian elimination, the rest by
     Fourier-Motzkin with back substitution, so the returned point is exact.
     """
-    # reduced row echelon form of [A | b]: a pivot in the b column means
-    # some combination of the equalities reads 0 == nonzero
-    work, pivot_cols = row_reduce([list(co) + [r] for co, r in eqs])
+    # reduced row echelon form of [A | b], each equality first cleared of
+    # denominators: a pivot in the b column means some combination of the
+    # equalities reads 0 == nonzero
+    scaled = []
+    for co, r in eqs:
+        row = [*co, r]
+        s = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * s) for x in row])
+    work, pivot_cols, d = row_reduce(scaled)
     if nvars in pivot_cols:
         return None
-    pivots = list(enumerate(pivot_cols))  # (row, col), pivot 1, column cleared
+    pivots = list(enumerate(pivot_cols))  # (row, col), pivot d, column cleared
     free = [c for c in range(nvars) if c not in pivot_cols]
+    inv_d = Fraction(1, d)
 
-    # substitute x_c = rhs_r - sum_{j free} work[r][j] x_j into the inequalities
+    # substitute x_c = (rhs_r - sum_{j free} work[r][j] x_j) / d into the
+    # inequalities
     ineqs2 = []
     for co, rhs in ineqs:
         co = [Fraction(c) for c in co]
@@ -72,6 +78,7 @@ def feasible_point(nvars: int, eqs, ineqs):
         for pr, pc in pivots:
             f = co[pc]
             if f:
+                f *= inv_d
                 co[pc] = Fraction(0)
                 rhs -= f * work[pr][nvars]
                 for j in free:
@@ -143,7 +150,7 @@ def feasible_point(nvars: int, eqs, ineqs):
         if lo is not None and hi is not None and lo > hi:
             raise AssertionError("back substitution left an empty interval")
     for pr, pc in pivots:
-        point[pc] = work[pr][nvars] - sum(work[pr][j] * point[j] for j in free)
+        point[pc] = (work[pr][nvars] - sum(work[pr][j] * point[j] for j in free)) * inv_d
     return tuple(point)
 
 
@@ -232,14 +239,15 @@ def lineality_witness(cone: Cone):
     if is_pointed(cone):
         return None
     # the lineality space is the kernel of the dual generators; read a
-    # kernel vector off the first non-pivot column
-    work, pivots = row_reduce(dual_cone(cone).generators)
+    # kernel vector off the first non-pivot column, scaled by |d| > 0 so
+    # that its direction does not depend on the sign of d
+    work, pivots, d = row_reduce(dual_cone(cone).generators)
     c = next(c for c in range(cone.rank) if c not in pivots)
-    vec = [Fraction(0)] * cone.rank
-    vec[c] = Fraction(1)
+    vec = [0] * cone.rank
+    vec[c] = abs(d)
     for row, pc in zip(work, pivots):
-        vec[pc] = -row[c]
-    return primitive_part(_integer_point(vec))
+        vec[pc] = -row[c] if d > 0 else row[c]
+    return primitive_part(tuple(vec))
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,15 @@
-"""Exact integer lattice arithmetic: normal forms, basis extension, quotients.
+"""Exact integer lattice arithmetic: echelon and Smith forms, basis
+extension, quotients.
 
 Everything runs over Z with Python ints, so results are exact at any size.
 Matrices are tuples of row tuples and vectors are plain int tuples; both are
 treated as immutable. Row vectors live in the character lattice M, columns
 in the cocharacter lattice N, and ``pairing`` is the evaluation between them.
+
+There are two eliminations. ``row_reduce`` is a fraction-free echelon form,
+read for rank, determinant, rational inverse and kernel vectors;
+``smith_normal_form`` gives invariant factors, basis extensions, dual pairs
+and the canonical class labels of ``LatticeQuotient``.
 
 All transformation matrices returned here are unimodular (det = +-1), and
 every function is deterministic: identical input gives identical output,
@@ -90,45 +96,23 @@ def vec_mat(x: LatticeVector, a: LatticeMatrix) -> LatticeVector:
     return tuple(sum(x[i] * a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
-def determinant(a: LatticeMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss: division is exact by construction
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def row_reduce(a):
-    """Reduced row echelon form of a over Q, by Gauss-Jordan elimination.
+    """Reduced row echelon form of a, by fraction-free Gauss-Jordan elimination.
 
-    Returns (rows, pivots): the nonzero rows of the form, as lists of
-    Fractions, and the pivot column of each row. The form is unique for a
-    given row space, so everything read off it is independent of the order
-    of the input rows. The pivot columns are the columns that a greedy scan
-    left to right keeps whenever they raise the rank.
+    Every row update is divided by the previous pivot, and Bareiss (1968)
+    shows the division is exact, so no entry leaves Z. Returns
+    (rows, pivots, d): the nonzero rows of the form as integer lists whose
+    pivot entries all equal d, and the pivot column of each row; rows / d
+    is the reduced form over Q. That form is unique for a given row space,
+    so everything read off it is independent of the order of the input
+    rows. The pivot columns are the columns that a greedy scan left to
+    right keeps whenever they raise the rank. A swap negates the row it
+    moves down, so d is the determinant of a square nonsingular a, and d is
+    1 when there is no pivot.
     """
-    rows = [list(map(Fraction, r)) for r in a]
+    rows = [list(r) for r in a]
     pivots = []
+    d = 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         if r == len(rows):
@@ -136,15 +120,26 @@ def row_reduce(a):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], [-x for x in rows[r]]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
         pivots.append(c)
-    return rows[:len(pivots)], pivots
+        d = p
+    return rows[:len(pivots)], pivots, d
+
+
+def determinant(a: LatticeMatrix) -> int:
+    """Exact determinant, the last pivot of the fraction-free reduction."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    _, pivots, d = row_reduce(a)
+    return d if len(pivots) == n else 0
 
 
 def matrix_rank(a) -> int:
@@ -157,12 +152,12 @@ def rational_inverse(a: LatticeMatrix):
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("rational_inverse needs a square matrix")
-    # [a | I] reduces to [I | a^-1] exactly when a is invertible
-    rows, pivots = row_reduce([tuple(row) + tuple(int(i == j) for j in range(n))
-                               for i, row in enumerate(a)])
+    # [a | I] reduces to d [I | a^-1] exactly when a is invertible
+    rows, pivots, d = row_reduce([tuple(row) + tuple(int(i == j) for j in range(n))
+                                  for i, row in enumerate(a)])
     if pivots != list(range(n)):
         return None
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
 
 
 def integer_inverse(a: LatticeMatrix) -> LatticeMatrix:
@@ -170,12 +165,9 @@ def integer_inverse(a: LatticeMatrix) -> LatticeMatrix:
     inv = rational_inverse(a)
     if inv is None:
         raise ValueError("matrix is singular")
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(map(int, row)) for row in inv)
 
 
 @dataclass(frozen=True)
@@ -298,81 +290,6 @@ def smith_normal_form(a: LatticeMatrix) -> SmithDecomposition:
         v=tuple(tuple(row) for row in v),
         invariant_factors=tuple(dd[i][i] for i in range(r)),
     )
-
-
-def hermite_normal_form(a: LatticeMatrix) -> tuple[LatticeMatrix, LatticeMatrix]:
-    """Row-style Hermite normal form. Returns (h, u) with u a = h.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    and zero rows sink to the bottom. u is unimodular.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    h = [list(r) for r in a]
-    u = [list(r) for r in identity_matrix(rows)]
-
-    def row_sub(i, k, q):
-        for j in range(cols):
-            h[i][j] -= q * h[k][j]
-        for j in range(rows):
-            u[i][j] -= q * u[k][j]
-
-    pr = 0
-    for c in range(cols):
-        if pr == rows:
-            break
-        while True:
-            nz = [i for i in range(pr, rows) if h[i][c] != 0]
-            if not nz:
-                break
-            imin = min(nz, key=lambda i: (abs(h[i][c]), i))
-            if imin != pr:
-                h[imin], h[pr] = h[pr], h[imin]
-                u[imin], u[pr] = u[pr], u[imin]
-            done = True
-            for i in range(pr + 1, rows):
-                if h[i][c] != 0:
-                    row_sub(i, pr, h[i][c] // h[pr][c])
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if h[pr][c] == 0:
-            continue
-        if h[pr][c] < 0:
-            h[pr] = [-x for x in h[pr]]
-            u[pr] = [-x for x in u[pr]]
-        for i in range(pr):
-            if h[i][c] != 0:
-                row_sub(i, pr, h[i][c] // h[pr][c])
-        pr += 1
-    return tuple(tuple(r) for r in h), tuple(tuple(r) for r in u)
-
-
-def in_row_span(a: LatticeMatrix, x: LatticeVector) -> bool:
-    """Membership of x in the Z-span of the rows of a, via Hermite reduction."""
-    if not a:
-        return is_zero_vector(x)
-    h, _ = hermite_normal_form(a)
-    pivots = {}
-    for i, row in enumerate(h):
-        for j, val in enumerate(row):
-            if val != 0:
-                pivots[j] = i
-                break
-    y = list(x)
-    for j in range(len(y)):
-        if y[j] == 0:
-            continue
-        if j not in pivots:
-            return False
-        row = h[pivots[j]]
-        if y[j] % row[j] != 0:
-            return False
-        q = y[j] // row[j]
-        for k in range(j, len(y)):
-            y[k] -= q * row[k]
-    return True
 
 
 def extends_to_basis(vectors) -> bool:
@@ -503,9 +420,7 @@ class LatticeQuotient:
         return all(c == 0 for c in self.degree(x))
 
     def same_class(self, x: LatticeVector, y: LatticeVector) -> bool:
-        # membership in the relation span decides equality of classes
-        return in_row_span(self.relations, vec_sub(x, y)) if self.relations \
-            else x == tuple(y)
+        return self.degree(x) == self.degree(y)
 
     def presentation(self) -> QuasitorusPresentation:
         """Character group of Hom(K, K*) presented as a quasitorus."""

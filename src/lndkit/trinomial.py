@@ -359,15 +359,15 @@ def symmetry_factors(shape: TrinomialShape,
 
     Variables other than the two moved ones may be permuted when they play
     the same role, carry the same relation exponent, and appear with the
-    same exponent in each stabilized monomial: the multiplier, the product
-    of untouched power variables, and the product of untouched plain and
-    higher-power variables. The group is the direct product of symmetric
-    groups on the resulting classes.
+    same exponent in the multiplier and in the product of untouched power
+    variables. (Their exponent in the power variable's image, the product
+    of the other plain and the higher-power variables, is already fixed by
+    role and relation exponent.) The group is the direct product of
+    symmetric groups on the resulting classes.
     """
     ring = shape.ring
     n = ring.nvars
     h = deriv.replica or (0,) * n
-    h1 = _stabilized_monomial(shape, deriv.x_index)
     h2 = [0] * n
     for zi, l in zip(shape.z_indices, shape.z_exponents):
         if zi != deriv.z_index:
@@ -384,14 +384,14 @@ def symmetry_factors(shape: TrinomialShape,
     if shape.kind == "single_z":
         # the single power variable is never permuted with anything
         moved = [v for v in moved if v not in shape.z_indices]
-        keys = {v: (role(v), ring.l1[v], h1[v]) for v in moved}
+        keys = {v: (role(v), ring.l1[v]) for v in moved}
     else:
         rel = {}
         for i, l in enumerate(ring.l1):
             rel[i] = l
         for zi, l in zip(shape.z_indices, shape.z_exponents):
             rel[zi] = l
-        keys = {v: (role(v), rel[v], h[v], h1[v], h2[v]) for v in moved}
+        keys = {v: (role(v), rel[v], h[v], h2[v]) for v in moved}
 
     classes = {}
     for v in moved:

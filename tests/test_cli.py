@@ -129,6 +129,24 @@ def test_cone_isotropy_partial_kernel_refused(invoke):
     assert data["refused"] is True and data["cap"] == 0
 
 
+def test_cone_lineality_refusal_pinned(invoke):
+    code, out, err = invoke(["cone", "maximal", "--root", "0,1"],
+                            '{"rank": 2, "rays": [[1, 0], [-1, 0]]}')
+    assert code == 1 and err == ""
+    assert out == (
+        '{\n'
+        '  "message": "cone is not pointed, so the toric theory here does '
+        'not apply",\n'
+        '  "refused": true,\n'
+        '  "witness": {\n'
+        '    "lineality": [\n'
+        '      1,\n'
+        '      0\n'
+        '    ]\n'
+        '  }\n'
+        '}\n')
+
+
 def test_cone_nonroot_refused(invoke):
     code, out, err = invoke(["cone", "maximal", "--root", "0,0,1"],
                             SQUARE_JSON)
@@ -222,6 +240,20 @@ def test_unread_flag_rejected(invoke, argv, stdin_text):
     with pytest.raises(SystemExit) as exc:
         invoke(argv, stdin_text)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,stdin_text,flag", [
+    (["exp", "--root", "1,2,-1", "--weight", "0,0,2", "--lnd", "1"],
+     SQUARE_JSON, "--lnd"),
+    (["exp", "--root", "1,2,-1", "--weight", "0,0,2", "--replica", "0,0,0"],
+     SQUARE_JSON, "--replica"),
+    (["exp", "--lnd", "1,1", "--weight", "1,0,0,0", "--root", "7"],
+     SPLIT_JSON, "--root"),
+])
+def test_exp_other_setting_flag_rejected(invoke, argv, stdin_text, flag):
+    code, out, err = invoke(argv, stdin_text)
+    assert code == 2 and out == ""
+    assert json.loads(err)["position"] == flag
 
 
 def test_trinomial_classify_golden(invoke):

@@ -196,6 +196,8 @@ def test_lineality_witness():
     assert w is not None
     assert C.cone_member(c, w) and C.cone_member(c, tuple(-x for x in w))
     assert C.lineality_witness(SQUARE) is None
+    # the direction is pinned: the reduction of this dual has pivot -1
+    assert C.lineality_witness(C.make_cone(2, [(1, 0), (-1, 0)])) == (1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,29 @@ def rank_by_minors(a):
     return 0
 
 
+def fraction_row_reduce(a):
+    """Reduced row echelon form over Q by plain Gauss-Jordan on Fractions:
+    (rows, pivots), each row normalized to pivot 1."""
+    rows = [list(map(Fraction, r)) for r in a]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
 def test_row_reduce_pivots_are_greedy_rank_choice():
     rng = random.Random(31)
     for _ in range(150):
@@ -131,7 +154,7 @@ def test_row_reduce_pivots_are_greedy_rank_choice():
         if rng.random() < 0.3 and rows > 1:
             # a dependent row, so that rank drops below the row count
             a = a[:-1] + (tuple(x + y for x, y in zip(a[0], a[1])),)
-        red, pivots = lattice.row_reduce(a)
+        red, pivots, d = lattice.row_reduce(a)
         # greedy left-to-right choice of columns that raise the rank
         greedy = []
         for j in range(cols):
@@ -140,14 +163,36 @@ def test_row_reduce_pivots_are_greedy_rank_choice():
                 greedy = cand
         assert pivots == greedy
         assert len(red) == len(pivots) == lattice.matrix_rank(a)
-        # reduced echelon shape, and every input row is recovered from it
+        # integer rows, reduced echelon shape scaled by d, and every input
+        # row is recovered from them
+        assert d != 0
         for i, (row, pc) in enumerate(zip(red, pivots)):
-            assert row[pc] == 1 and all(x == 0 for x in row[:pc])
+            assert all(type(x) is int for x in row)
+            assert row[pc] == d and all(x == 0 for x in row[:pc])
             assert all(red[k][pc] == 0 for k in range(len(red)) if k != i)
         for row in a:
             combo = [sum(row[pc] * r[j] for r, pc in zip(red, pivots))
                      for j in range(cols)]
-            assert combo == list(row)
+            assert combo == [d * x for x in row]
+
+
+def test_row_reduce_matches_fraction_gauss_jordan():
+    rng = random.Random(1968)
+    full_rank_squares = 0
+    for _ in range(400):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        a = random_matrix(rng, rows, cols, -6, 6)
+        if rng.random() < 0.3 and rows > 2:
+            a = a[:-1] + (tuple(2 * x - y for x, y in zip(a[0], a[1])),)
+        red, pivots, d = lattice.row_reduce(a)
+        want, want_pivots = fraction_row_reduce(a)
+        assert pivots == want_pivots
+        assert red == [[d * x for x in row] for row in want]
+        if rows == cols and len(pivots) == rows:
+            full_rank_squares += 1
+            assert d == leibniz_det(a)
+    assert full_rank_squares > 50
+    assert lattice.row_reduce(()) == ([], [], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,62 +245,83 @@ def test_smith_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Hermite normal form and membership
+# membership in the relation span
 
 
-def test_hermite_contract():
-    rng = random.Random(99)
-    for _ in range(200):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 5)
-        a = random_matrix(rng, rows, cols)
-        h, u = lattice.hermite_normal_form(a)
-        assert lattice.mat_mul(u, a) == h
-        assert abs(lattice.determinant(u)) == 1
-        pivots = []
-        for row in h:
-            nz = [j for j, x in enumerate(row) if x != 0]
-            if not nz:
-                pivots.append(None)
-                continue
-            pivots.append(nz[0])
-            assert row[nz[0]] > 0
-        # zero rows at the bottom, pivot columns strictly increasing
-        real = [p for p in pivots if p is not None]
-        assert pivots[:len(real)] == real
-        assert real == sorted(real) and len(set(real)) == len(real)
-        for r, c in enumerate(real):
-            for i in range(r):
-                assert 0 <= h[i][c] < h[r][c]
+def minor_gcd(a, k):
+    """gcd of all k x k minors of a; 1 for k = 0."""
+    if k == 0:
+        return 1
+    rows, cols = len(a), len(a[0])
+    g = 0
+    for rset in combinations(range(rows), k):
+        for cset in combinations(range(cols), k):
+            g = gcd(g, leibniz_det(tuple(tuple(a[i][j] for j in cset)
+                                         for i in rset)))
+    return g
+
+
+def in_span_by_minors(a, x):
+    """x lies in the Z-span of the rows of a exactly when stacking x onto a
+    keeps both the rank r and the gcd of the r x r minors: the lattice can
+    only grow, and when the rank holds that gcd drops by the index of the
+    growth."""
+    stacked = tuple(a) + (tuple(x),)
+    r = rank_by_minors(a)
+    return rank_by_minors(stacked) == r and \
+        minor_gcd(stacked, r) == minor_gcd(a, r)
 
 
 def test_row_span_membership():
     rng = random.Random(555)
+    members = outsiders = 0
     for _ in range(200):
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 4)
         a = random_matrix(rng, rows, cols, -4, 4)
+        q = lattice.LatticeQuotient(cols, a)
         coeffs = [rng.randint(-3, 3) for _ in range(rows)]
         x = tuple(sum(coeffs[i] * a[i][j] for i in range(rows))
                   for j in range(cols))
-        assert lattice.in_row_span(a, x)
+        assert in_span_by_minors(a, x) and q.is_zero(x)
+        # a random nudge of a member, usually outside the span
+        y = tuple(v + rng.randint(-1, 1) for v in x)
+        inside = in_span_by_minors(a, y)
+        assert q.is_zero(y) == inside
+        members += inside
+        outsiders += not inside
+    assert members > 10 and outsiders > 100
     # pinned negatives
-    assert not lattice.in_row_span(((2, 0), (0, 2)), (1, 0))
-    assert lattice.in_row_span(((2, 0), (0, 2)), (2, 4))
-    assert not lattice.in_row_span(((1, 2),), (1, 1))
-    assert lattice.in_row_span((), (0, 0))
-    assert not lattice.in_row_span((), (1, 0))
+    for a, x, inside in ((((2, 0), (0, 2)), (1, 0), False),
+                         (((2, 0), (0, 2)), (2, 4), True),
+                         (((1, 2),), (1, 1), False),
+                         ((), (0, 0), True),
+                         ((), (1, 0), False)):
+        assert in_span_by_minors(a, x) == inside
+        assert lattice.LatticeQuotient(2, a).is_zero(x) == inside
 
 
 def test_row_span_agrees_with_quotient_labels():
     rng = random.Random(777)
+    same = 0
     for _ in range(200):
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 4)
         a = random_matrix(rng, rows, cols, -4, 4)
         q = lattice.LatticeQuotient(cols, a)
         x = tuple(rng.randint(-6, 6) for _ in range(cols))
-        assert lattice.in_row_span(a, x) == q.is_zero(x)
+        if rng.random() < 0.5:
+            # y = x plus a relation combination, so the classes agree
+            coeffs = [rng.randint(-2, 2) for _ in range(rows)]
+            y = tuple(x[j] + sum(coeffs[i] * a[i][j] for i in range(rows))
+                      for j in range(cols))
+        else:
+            y = tuple(rng.randint(-6, 6) for _ in range(cols))
+        inside = in_span_by_minors(a, lattice.vec_sub(x, y))
+        assert q.same_class(x, y) == inside
+        assert q.is_zero(x) == in_span_by_minors(a, x)
+        same += inside
+    assert 50 < same < 190
 
 
 # ---------------------------------------------------------------------------
