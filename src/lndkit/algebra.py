@@ -234,6 +234,13 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
+    def _of_clean(cls, terms: dict) -> "Polynomial":
+        # terms already keyed by tuples with nonzero coefficients
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls) -> "Polynomial":
         return cls()
 
@@ -331,9 +338,10 @@ class MonomialShiftDerivation(Derivation):
         for exp, c in poly.terms.items():
             k = pairing(exp, self.weight)
             if k:
-                # m -> m + shift is injective, so no two terms collide
+                # m -> m + shift is injective, so no two terms collide, and
+                # c * k is nonzero
                 out[vec_add(exp, self.shift)] = c * k
-        return Polynomial(out)
+        return Polynomial._of_clean(out)
 
 
 class VariableImagesDerivation(Derivation):
@@ -373,9 +381,14 @@ def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
     """Whether [a, b] kills every given generator.
 
     A derivation vanishing on algebra generators vanishes everywhere, so
-    this is an exact zero test as long as the generators generate.
+    this is an exact zero test as long as the generators generate. Both
+    sides vanish when both inner images do, so such a generator is skipped.
     """
-    return all(a.apply(b.apply(g)) == b.apply(a.apply(g)) for g in generators)
+    for g in generators:
+        ag, bg = a.apply(g), b.apply(g)
+        if (ag.terms or bg.terms) and a.apply(bg) != b.apply(ag):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .algebra import (
     coeff_to_string,
     exponential,
 )
-from .cone import Cone, dual_cone, hilbert_basis, make_cone
+from .cone import Cone, dual_as_cone, dual_cone, hilbert_basis, make_cone
 from .errors import InputError, RefusalError, SearchBoundExceeded
 from .lattice import determinant, mat_mul, pairing, smith_normal_form
 from . import toric
@@ -509,7 +509,7 @@ def _selftest_checks(rng):
         return True, "dual cone generators match"
 
     def check_hilbert():
-        hb = hilbert_basis(make_cone(3, dual_cone(cone).generators))
+        hb = hilbert_basis(dual_as_cone(cone))
         if hb.elements != tuple(sorted(_SELFTEST_DUAL)) or not hb.complete:
             return False, "basis {}".format(hb.elements)
         return True, "dual Hilbert basis is the four generators, complete"

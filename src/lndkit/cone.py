@@ -1,9 +1,14 @@
 """Rational polyhedral cones, exactly.
 
 A cone is stored by its canonical ray list: primitive, irredundant, sorted
-lexicographically. Duality runs through a double description pass, and all
-feasibility questions go through an exact Fourier-Motzkin core over
-Fractions, so there is no floating point anywhere and no tolerance to tune.
+lexicographically. Duality runs through a double description pass, and
+the yes/no face questions are read off its cached output by exact rank
+tests: pointedness, two-face adjacency on a pointed cone, and the dual and
+its faces as cones. An exact Fourier-Motzkin core over Fractions answers
+the rest, where the point it finds is the answer: redundancy removal in
+``make_cone``, the positive grading functional, the two-face functional
+that partner roots walk along, and adjacency on a cone that is not pointed.
+There is no floating point anywhere and no tolerance to tune.
 
 Intended scale is the desk scale of the surrounding theory (ambient rank up
 to about 6); the algorithms are chosen for exactness and auditability, not
@@ -231,7 +236,13 @@ def positive_functional(cone: Cone):
 
 
 def is_pointed(cone: Cone) -> bool:
-    return positive_functional(cone) is not None
+    """A cone is pointed iff its dual is full-dimensional."""
+    return matrix_rank(dual_cone(cone).generators) == cone.rank
+
+
+def is_full_dimensional(cone: Cone) -> bool:
+    """Whether the rays span the whole space."""
+    return matrix_rank(cone.rays) == cone.rank
 
 
 def lineality_witness(cone: Cone):
@@ -256,9 +267,12 @@ def dual_cone(cone: Cone) -> DualCone:
 
     Runs one halfspace at a time, combining each positive and negative pair
     on the separating hyperplane and pruning by the standard rank test, one
-    ``matrix_rank`` (a ``row_reduce``) per candidate. For
-    a full-dimensional input the output is the exact extremal ray set of the
-    (then pointed) dual.
+    ``matrix_rank`` (a ``row_reduce``) per candidate. For any input the
+    output generates the dual. For a full-dimensional input it is exactly
+    the extremal ray set of the (then pointed) dual, primitive and sorted:
+    the last pass keeps a candidate iff the rays it vanishes on have rank
+    ``rank - 1``. ``dual_as_cone`` and the kernel face of
+    ``toric.kernel_of_root`` take the output as that ray list unchecked.
     """
     n = cone.rank
     gens = set()
@@ -290,11 +304,33 @@ def dual_cone(cone: Cone) -> DualCone:
     return DualCone(rank=n, generators=tuple(sorted(gens)))
 
 
+def dual_as_cone(cone: Cone) -> Cone:
+    """The dual cone as a Cone.
+
+    For a full-dimensional input the dual generators are already its
+    canonical ray list, so no redundancy pass is needed; otherwise they go
+    through ``make_cone``.
+    """
+    gens = dual_cone(cone).generators
+    if is_full_dimensional(cone):
+        return Cone(cone.rank, gens)
+    return make_cone(cone.rank, gens)
+
+
 def cone_member(cone: Cone, x: LatticeVector) -> bool:
     """Lattice point membership through the dual description."""
     if len(x) != cone.rank:
         raise ValueError("vector length does not match rank")
     return all(pairing(x, d) >= 0 for d in dual_cone(cone).generators)
+
+
+def _ray_pair(cone: Cone, v, vp):
+    v, vp = tuple(v), tuple(vp)
+    if v not in cone.rays or vp not in cone.rays:
+        raise ValueError("both arguments must be rays of the cone")
+    if v == vp:
+        raise ValueError("need two distinct rays")
+    return v, vp
 
 
 def two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
@@ -304,18 +340,27 @@ def two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
     functional is zero on both and at least 1 on every other ray. Returns
     None when the rays are not adjacent.
     """
-    v, vp = tuple(v), tuple(vp)
-    if v not in cone.rays or vp not in cone.rays:
-        raise ValueError("both arguments must be rays of the cone")
-    if v == vp:
-        raise ValueError("need two distinct rays")
+    v, vp = _ray_pair(cone, v, vp)
     eqs = [(list(v), 0), (list(vp), 0)]
     ineqs = [(list(r), 1) for r in cone.rays if r not in (v, vp)]
     return _integer_point(feasible_point(cone.rank, eqs, ineqs))
 
 
 def two_face_adjacent(cone: Cone, v: LatticeVector, vp: LatticeVector) -> bool:
-    return two_face_functional(cone, v, vp) is not None
+    """Whether the rays v and vp span a common two-dimensional face.
+
+    On a pointed cone this is the algebraic test of Fukuda-Prodon (1996):
+    the dual generators vanishing on both rays cut out the smallest face
+    holding them, of dimension rank minus their rank, and that face must be
+    two-dimensional. A cone with lines has no such face structure, so there
+    the answer is whether ``two_face_functional`` exists.
+    """
+    v, vp = _ray_pair(cone, v, vp)
+    if not is_pointed(cone):
+        return two_face_functional(cone, v, vp) is not None
+    shared = [d for d in dual_cone(cone).generators
+              if pairing(d, v) == 0 and pairing(d, vp) == 0]
+    return cone.rank - matrix_rank(shared) == 2
 
 
 def adjacency_set(cone: Cone, v: LatticeVector) -> LatticeMatrix:

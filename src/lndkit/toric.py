@@ -26,13 +26,16 @@ from .algebra import (
 from .cone import (
     Cone,
     adjacency_set,
+    dual_as_cone,
     dual_cone,
     hilbert_basis,
+    is_full_dimensional,
     is_pointed,
     lattice_points,
     lineality_witness,
     make_cone,
     positive_functional,
+    two_face_adjacent,
     two_face_functional,
 )
 from .errors import RefusalError, SearchBoundExceeded
@@ -201,7 +204,7 @@ def construct_commuting_pair(cone: Cone):
     failures = []
     for i, v in enumerate(cone.rays):
         for vp in cone.rays[i + 1:]:
-            adjacent = two_face_functional(cone, v, vp) is not None
+            adjacent = two_face_adjacent(cone, v, vp)
             extends = extends_to_basis([v, vp])
             if adjacent and extends:
                 first = _partner_root(cone, v, vp)
@@ -263,8 +266,14 @@ def kernel_of_root(cone: Cone, root: DemazureRoot,
     cone's facet orthogonal to that ray.
     """
     _require_pointed(cone)
-    face = make_cone(cone.rank, dual_cone(
-        make_cone(cone.rank, cone.rays + (vec_scale(-1, root.ray),))).generators)
+    if is_full_dimensional(cone):
+        # the facet of the pointed dual orthogonal to the ray: its rays are
+        # the dual's rays on that hyperplane
+        face = Cone(cone.rank, tuple(d for d in dual_cone(cone).generators
+                                     if pairing(d, root.ray) == 0))
+    else:
+        face = make_cone(cone.rank, dual_cone(
+            make_cone(cone.rank, cone.rays + (vec_scale(-1, root.ray),))).generators)
     hb = hilbert_basis(face, bound)
     assert all(pairing(m, root.ray) == 0 for m in hb.elements)
     return KernelDescription(ray=root.ray, generators=hb.elements,
@@ -372,8 +381,7 @@ def s_delta(cone: Cone, root: DemazureRoot, perm_cap: int = 40320) -> SemigroupS
     basis onto itself.
     """
     _require_pointed(cone)
-    dual = dual_cone(cone)
-    hb = hilbert_basis(make_cone(cone.rank, dual.generators))
+    hb = hilbert_basis(dual_as_cone(cone))
     assert hb.complete
     elems = hb.elements
     n = cone.rank
@@ -523,6 +531,6 @@ def root_admissible_nonnormal(generators, weight, shift,
 def symbolic_commute_check(cone: Cone, a: DemazureRoot, b: DemazureRoot) -> bool:
     """Cross-validation path: evaluate the commutator on the dual Hilbert
     basis monomials, which span the coordinate algebra."""
-    hb = hilbert_basis(make_cone(cone.rank, dual_cone(cone).generators))
+    hb = hilbert_basis(dual_as_cone(cone))
     gens = [Polynomial.monomial(m) for m in hb.elements]
     return commutator_vanishes_on(a.derivation(), b.derivation(), gens)

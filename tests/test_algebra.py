@@ -199,6 +199,18 @@ def test_commutator_vanishes_on():
     assert A.commutator_vanishes_on(d1, d1, gens)
 
 
+def test_commutator_with_one_inner_image_zero():
+    # orthant roots: b(x) = 0 but a(x) = y and b(y) = x, so [a, b](x) = -x;
+    # only a generator both derivations kill may be skipped
+    a = A.MonomialShiftDerivation((1, 0), (-1, 1))
+    b = A.MonomialShiftDerivation((0, 1), (1, -1))
+    x = A.Polynomial.monomial((1, 0))
+    assert b.apply(x).is_zero() and not a.apply(x).is_zero()
+    assert not A.commutator_vanishes_on(a, b, [x])
+    assert not A.commutator_vanishes_on(b, a, [x])
+    assert A.commutator_vanishes_on(a, a, [x])
+
+
 # ---------------------------------------------------------------------------
 # nilpotency
 

@@ -71,6 +71,21 @@ def random_pointed_cone(rng, rank, lo=-2, hi=3, max_bound=8):
     raise AssertionError("sampling failed to find a pointed cone")
 
 
+def random_cone(rng, rank):
+    """Any cone with small rays: pointed or not, often lower-dimensional."""
+    k = rng.randint(1, rank + 2)
+    gens = [tuple(rng.randint(-2, 3) for _ in range(rank)) for _ in range(k)]
+    if rank > 1 and rng.random() < 0.4:
+        # inside the hyperplane x_0 = x_1
+        gens = [(g[1],) + g[1:] for g in gens]
+    return C.make_cone(rank, [g for g in gens if any(g)])
+
+
+def sweep_cones(seed, count):
+    rng = random.Random(seed)
+    return [random_cone(rng, rng.randint(1, 4)) for _ in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # feasibility core
 
@@ -190,6 +205,15 @@ def test_is_pointed_cases():
     assert all(lattice.pairing(m, r) >= 1 for r in SQUARE.rays)
 
 
+def test_is_pointed_matches_positive_functional_sweep():
+    kinds = set()
+    for c in sweep_cones(31, 150):
+        pointed = C.is_pointed(c)
+        assert pointed == (C.positive_functional(c) is not None)
+        kinds.add((pointed, C.is_full_dimensional(c)))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_lineality_witness():
     c = C.make_cone(2, [(1, 0), (-1, 0), (0, 1)])
     w = C.lineality_witness(c)
@@ -237,6 +261,15 @@ def test_double_dual_round_trip():
         dd = C.make_cone(rank, C.dual_cone(
             C.make_cone(rank, C.dual_cone(c).generators)).generators)
         assert dd.rays == c.rays
+
+
+def test_dual_as_cone_matches_make_cone_sweep():
+    # on a lower-dimensional cone the helper is make_cone itself
+    full = [c for c in sweep_cones(37, 150) if C.is_full_dimensional(c)]
+    for c in full:
+        gens = C.dual_cone(c).generators
+        assert C.dual_as_cone(c) == C.make_cone(c.rank, gens) == C.Cone(c.rank, gens)
+    assert len(full) > 40
 
 
 def test_dual_of_ray_is_halfplane():
@@ -288,6 +321,35 @@ def test_two_face_functional_contract():
                     if r not in (v, vp):
                         assert lattice.pairing(omega, r) >= 1
     assert seen_adjacent > 20
+
+
+def test_two_face_adjacent_matches_fourier_motzkin_sweep():
+    seen = {}
+    for c in sweep_cones(41, 200):
+        pointed = C.is_pointed(c)
+        for v, vp in combinations(c.rays, 2):
+            adjacent = C.two_face_adjacent(c, v, vp)
+            assert adjacent == C.two_face_adjacent(c, vp, v)
+            assert adjacent == (C.two_face_functional(c, v, vp) is not None)
+            if pointed:
+                assert adjacent == adjacency_by_incidence(c, v, vp)
+            key = (adjacent, pointed, C.is_full_dimensional(c))
+            seen[key] = seen.get(key, 0) + 1
+    # adjacent and non-adjacent pairs on full-dimensional pointed cones,
+    # adjacent pairs on lower-dimensional pointed ones, and cones with lines
+    assert seen.get((True, True, True), 0) > 50
+    assert seen.get((False, True, True), 0) > 10
+    assert seen.get((True, True, False), 0) > 10
+    assert seen.get((True, False, True), 0) + seen.get((False, False, True), 0) > 10
+
+
+def test_two_face_adjacent_on_a_line_keeps_the_functional_answer():
+    # on a cone with lines the face-dimension count says no, but a
+    # functional vanishing on both rays (zero, as there is no other ray)
+    # exists, and that has always been the answer
+    line = C.make_cone(2, [(0, 1), (0, -1)])
+    assert C.two_face_adjacent(line, (0, -1), (0, 1))
+    assert C.two_face_functional(line, (0, -1), (0, 1)) == (0, 0)
 
 
 def test_two_rays_span_their_own_face():

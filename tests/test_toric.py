@@ -378,6 +378,37 @@ def test_kernel_equals_level_zero_hilbert_elements():
         assert kernel_of_root(cone, root).generators == tuple(sorted(expected))
 
 
+def test_kernel_face_matches_dual_of_the_extended_cone():
+    # the kernel face used to be built as the dual of the cone with -ray
+    # added; it must stay the same cone, lower-dimensional cones included
+    rng = random.Random(13)
+    lower = 0
+    for _ in range(40):
+        rank = rng.choice([2, 3, 3])
+        rays = [tuple(rng.randrange(0, 3) for _ in range(rank))
+                for _ in range(rng.randrange(1, rank + 2))]
+        if rng.random() < 0.3:
+            rays = [r[:-1] + (0,) for r in rays]
+        cone = make_cone(rank, [r for r in rays if any(r)])
+        if not cone.rays or not is_pointed(cone):
+            continue
+        lower += matrix_rank(cone.rays) < rank
+        for root in enumerate_roots(cone, 1)[:4]:
+            face = make_cone(rank, dual_cone(make_cone(
+                rank, cone.rays + (vec_scale(-1, root.ray),))).generators)
+            for bound in (None, 1):
+                try:
+                    want = hilbert_basis(face, bound)
+                except RefusalError as err:
+                    with pytest.raises(RefusalError) as info:
+                        kernel_of_root(cone, root, bound)
+                    assert info.value.witness == err.witness
+                    continue
+                ker = kernel_of_root(cone, root, bound)
+                assert (ker.generators, ker.complete) == (want.elements, want.complete)
+    assert lower > 3
+
+
 def test_worked_example_slice_and_expression():
     root = require_root(SQUARE, SQUARE_ROOT)
     s = find_local_slice(SQUARE, root)
