@@ -245,20 +245,26 @@ def is_full_dimensional(cone: Cone) -> bool:
     return matrix_rank(cone.rays) == cone.rank
 
 
-def lineality_witness(cone: Cone):
-    """A nonzero integer vector w with both w and -w in the cone, or None."""
-    if is_pointed(cone):
+def _orthogonal_vector(rows, rank: int):
+    """A primitive integer vector orthogonal to every row, or None when the
+    rows have full rank."""
+    # read a kernel vector off the first non-pivot column, scaled by |d| > 0
+    # so that its direction does not depend on the sign of d
+    work, pivots, d = row_reduce(rows)
+    c = next((c for c in range(rank) if c not in pivots), None)
+    if c is None:
         return None
-    # the lineality space is the kernel of the dual generators; read a
-    # kernel vector off the first non-pivot column, scaled by |d| > 0 so
-    # that its direction does not depend on the sign of d
-    work, pivots, d = row_reduce(dual_cone(cone).generators)
-    c = next(c for c in range(cone.rank) if c not in pivots)
-    vec = [0] * cone.rank
+    vec = [0] * rank
     vec[c] = abs(d)
     for row, pc in zip(work, pivots):
         vec[pc] = -row[c] if d > 0 else row[c]
     return primitive_part(tuple(vec))
+
+
+def lineality_witness(cone: Cone):
+    """A nonzero integer vector w with both w and -w in the cone, or None."""
+    # the lineality space is the kernel of the dual generators
+    return _orthogonal_vector(dual_cone(cone).generators, cone.rank)
 
 
 @lru_cache(maxsize=None)
@@ -305,16 +311,21 @@ def dual_cone(cone: Cone) -> DualCone:
 
 
 def dual_as_cone(cone: Cone) -> Cone:
-    """The dual cone as a Cone.
+    """The dual of a full-dimensional cone as a Cone.
 
-    For a full-dimensional input the dual generators are already its
-    canonical ray list, so no redundancy pass is needed; otherwise they go
-    through ``make_cone``.
+    The dual generators are already its canonical ray list, so no
+    redundancy pass is needed. Every caller wants the dual for its Hilbert
+    basis, and the dual of a lower-dimensional cone contains a line, so it
+    has none: that is refused at once, with the line as the witness.
     """
-    gens = dual_cone(cone).generators
-    if is_full_dimensional(cone):
-        return Cone(cone.rank, gens)
-    return make_cone(cone.rank, gens)
+    # the dual's lineality space is the kernel of the rays
+    witness = _orthogonal_vector(cone.rays, cone.rank)
+    if witness is not None:
+        raise RefusalError(
+            "cone is not full-dimensional, so its dual contains a line and "
+            "the dual semigroup has no Hilbert basis",
+            witness={"dual_lineality": list(witness)})
+    return Cone(cone.rank, dual_cone(cone).generators)
 
 
 def cone_member(cone: Cone, x: LatticeVector) -> bool:

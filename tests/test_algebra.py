@@ -211,6 +211,61 @@ def test_commutator_with_one_inner_image_zero():
     assert A.commutator_vanishes_on(a, a, [x])
 
 
+def commutes_by_composition(a, b, gens):
+    """The definition: a(b(g)) == b(a(g)) for every generator."""
+    return all(a.apply(b.apply(g)) == b.apply(a.apply(g)) for g in gens)
+
+
+def test_monomial_shift_bracket_against_composition():
+    rng = random.Random(10)
+    t = A.ParamPoly.variable("t")
+    coefficients = (
+        lambda: rng.choice([-2, -1, 1, 2, 3]),
+        lambda: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 3])),
+        lambda: rng.choice([-1, 1, 2]) * t + rng.randrange(-2, 3),
+    )
+    seen = {True: 0, False: 0}
+    for trial in range(600):
+        dim = rng.randint(1, 4)
+
+        def vec():
+            return tuple(rng.randint(-3, 3) for _ in range(dim))
+
+        wa, sa, wb, sb = vec(), vec(), vec(), vec()
+        if trial % 5 == 0:
+            wb, sb = wa, sa
+        elif trial % 5 == 1:
+            wa = (0,) * dim
+        elif trial % 5 == 2:
+            sb = (0,) * dim
+        a = A.MonomialShiftDerivation(wa, sa)
+        b = A.MonomialShiftDerivation(wb, sb)
+        # exponents on which the bracket vanishes by the definition, so that
+        # a verdict of True also occurs for pairs that do not commute
+        exps = {vec() for _ in range(10)}
+        killed = [m for m in exps
+                  if commutes_by_composition(a, b, [A.Polynomial.monomial(m)])]
+        pool = killed + [vec()] if rng.random() < 0.5 or not killed else killed
+        gens = [A.Polynomial({rng.choice(pool): rng.choice(coefficients)()
+                              for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(1, 3))]
+        got = A.commutator_vanishes_on(a, b, gens)
+        assert got == commutes_by_composition(a, b, gens)
+        seen[got] += 1
+    assert seen[True] > 100 and seen[False] > 100
+
+
+def test_mixed_pair_takes_the_composition_path():
+    # d/dx as a monomial shift against x d/dy: [d/dx, x d/dy] = d/dy
+    a = A.MonomialShiftDerivation((1, 0), (-1, 0))
+    b = A.VariableImagesDerivation(2, {1: A.Polynomial.monomial((1, 0))})
+    x, y = A.Polynomial.monomial((1, 0)), A.Polynomial.monomial((0, 1))
+    for gens, want in (([x], True), ([y], False), ([x + y.scale(Fraction(1, 2))], False)):
+        assert commutes_by_composition(a, b, gens) is want
+        assert A.commutator_vanishes_on(a, b, gens) is want
+        assert A.commutator_vanishes_on(b, a, gens) is want
+
+
 # ---------------------------------------------------------------------------
 # nilpotency
 

@@ -147,6 +147,33 @@ def test_cone_lineality_refusal_pinned(invoke):
         '}\n')
 
 
+FLAT4_JSON = ('{"rank": 4, "rays": [[-1,-1,-2,1],[-1,0,-1,-1],'
+              '[1,-2,1,1],[1,-2,2,-1]]}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "commute", "--root", "-2,-2,2,-1", "--root", "1,0,-1,0"],
+    ["cone", "isotropy", "--root", "-2,-2,2,-1"],
+])
+def test_cone_lower_dimensional_refusal_pinned(invoke, argv):
+    code, out, err = invoke(argv, FLAT4_JSON)
+    assert code == 1 and err == ""
+    assert out == (
+        '{\n'
+        '  "message": "cone is not full-dimensional, so its dual contains a '
+        'line and the dual semigroup has no Hilbert basis",\n'
+        '  "refused": true,\n'
+        '  "witness": {\n'
+        '    "dual_lineality": [\n'
+        '      -3,\n'
+        '      0,\n'
+        '      2,\n'
+        '      1\n'
+        '    ]\n'
+        '  }\n'
+        '}\n')
+
+
 def test_cone_nonroot_refused(invoke):
     code, out, err = invoke(["cone", "maximal", "--root", "0,0,1"],
                             SQUARE_JSON)

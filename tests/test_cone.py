@@ -264,12 +264,27 @@ def test_double_dual_round_trip():
 
 
 def test_dual_as_cone_matches_make_cone_sweep():
-    # on a lower-dimensional cone the helper is make_cone itself
+    # a lower-dimensional cone is refused, see the test below
     full = [c for c in sweep_cones(37, 150) if C.is_full_dimensional(c)]
     for c in full:
         gens = C.dual_cone(c).generators
         assert C.dual_as_cone(c) == C.make_cone(c.rank, gens) == C.Cone(c.rank, gens)
     assert len(full) > 40
+
+
+def test_dual_as_cone_refuses_a_lower_dimensional_cone():
+    lower = [c for c in sweep_cones(37, 150) if not C.is_full_dimensional(c)]
+    for c in lower:
+        with pytest.raises(RefusalError) as info:
+            C.dual_as_cone(c)
+        w = info.value.witness["dual_lineality"]
+        assert lattice.is_primitive(w)
+        assert all(lattice.pairing(w, r) == 0 for r in c.rays)
+    assert len(lower) > 20
+    # a pointed cone whose dual has the line through e3
+    with pytest.raises(RefusalError) as info:
+        C.dual_as_cone(C.make_cone(3, [(1, 0, 0), (0, 1, 0)]))
+    assert info.value.witness == {"dual_lineality": [0, 0, 1]}
 
 
 def test_dual_of_ray_is_halfplane():

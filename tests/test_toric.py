@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import pytest
 
-from lndkit.algebra import Polynomial
+from lndkit.algebra import MonomialShiftDerivation, Polynomial
 from lndkit.cone import Cone, adjacency_set, dual_cone, hilbert_basis, is_pointed, make_cone
 from lndkit.errors import RefusalError, SearchBoundExceeded
 from lndkit.lattice import matrix_rank, pairing, vec_add, vec_scale
@@ -234,12 +234,50 @@ def test_commute_criterion_against_symbolic_commutator():
     for _ in range(10):
         cone = random_cone(rng, 2 if rng.random() < 0.7 else 3)
         roots = enumerate_roots(cone, 2)[:6]
+        gens = [Polynomial.monomial(m) for m in dual_hilbert_basis(cone)]
         for i in range(len(roots)):
             for j in range(i, len(roots)):
                 verdict = lnds_commute(roots[i], roots[j])
                 assert verdict == symbolic_commute_check(cone, roots[i], roots[j])
+                # the definition, composed on the same generators
+                a, b = roots[i].derivation(), roots[j].derivation()
+                assert verdict == all(a.apply(b.apply(g)) == b.apply(a.apply(g))
+                                      for g in gens)
                 seen_both[verdict] += 1
     assert seen_both[0] > 0 and seen_both[1] > 0
+
+
+def test_symbolic_check_applies_no_derivation(monkeypatch):
+    # root derivations are bracketed in closed form; going back to
+    # composing them would call apply
+    def refuse(self, poly):
+        raise AssertionError("monomial shift applied")
+
+    monkeypatch.setattr(MonomialShiftDerivation, "apply", refuse)
+    roots = enumerate_roots(SQUARE, 2)
+    seen = set()
+    for a in roots:
+        for b in roots:
+            verdict = symbolic_commute_check(SQUARE, a, b)
+            assert verdict == lnds_commute(a, b)
+            seen.add(verdict)
+    assert seen == {True, False}
+
+
+# a pointed cone of dimension 3 in Z^4 with 50 roots in box 2; its dual
+# contains the line through (-3, 0, 2, 1)
+FLAT4 = make_cone(4, [(-1, -1, -2, 1), (-1, 0, -1, -1), (1, -2, 1, 1), (1, -2, 2, -1)])
+
+
+def test_lower_dimensional_cone_refused_by_symbolic_checks():
+    roots = enumerate_roots(FLAT4, 2)
+    assert len(roots) == 50
+    for call in (lambda: symbolic_commute_check(FLAT4, roots[0], roots[-1]),
+                 lambda: s_delta(FLAT4, roots[0])):
+        with pytest.raises(RefusalError) as info:
+            call()
+        assert "dual" in str(info.value)
+        assert info.value.witness == {"dual_lineality": [-3, 0, 2, 1]}
 
 
 def test_same_ray_roots_always_commute():
