@@ -393,13 +393,16 @@ def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
     w = <s_b, w_a> w_b - <s_a, w_b> w_a. As m -> m + s_a + s_b is
     injective, the terms of [a, b](g) cannot cancel, so [a, b] kills g iff
     <m, w> = 0 for every exponent m of g: one weight per pair, one integer
-    pairing per term, no polynomial built. Any other pair compares
-    a(b(g)) with b(a(g)), skipping a generator that both inner images
-    kill, since both sides then vanish.
+    pairing per term, no polynomial built. When w = 0, as for two roots on
+    the same ray, the pair commutes and no term is read. Any other pair
+    compares a(b(g)) with b(a(g)), skipping a generator that both inner
+    images kill, since both sides then vanish.
     """
     if isinstance(a, MonomialShiftDerivation) and isinstance(b, MonomialShiftDerivation):
         ka, kb = pairing(b.shift, a.weight), pairing(a.shift, b.weight)
         w = tuple(ka * y - kb * x for x, y in zip(a.weight, b.weight))
+        if not any(w):
+            return True
         return not any(pairing(m, w) for g in generators for m in g.terms)
     for g in generators:
         ag, bg = a.apply(g), b.apply(g)

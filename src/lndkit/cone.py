@@ -8,7 +8,10 @@ its faces as cones. An exact Fourier-Motzkin core over Fractions answers
 the rest, where the point it finds is the answer: redundancy removal in
 ``make_cone``, the positive grading functional, the two-face functional
 that partner roots walk along, and adjacency on a cone that is not pointed.
-There is no floating point anywhere and no tolerance to tune.
+The box scan ``lattice_points``, behind root enumeration, local slices and
+Hilbert bases, pairs rows the same way, over the integers, to eliminate
+its last coordinate exactly. There is no floating point anywhere and no
+tolerance to tune.
 
 Intended scale is the desk scale of the surrounding theory (ambient rank up
 to about 6); the algorithms are chosen for exactness and auditability, not
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .errors import RefusalError
 from .lattice import (
@@ -180,8 +183,11 @@ class Cone:
 
 @dataclass(frozen=True)
 class DualCone:
+    """Generators of the dual, and the dimension of the cone they span."""
+
     rank: int
     generators: LatticeMatrix
+    dimension: int
 
 
 @dataclass(frozen=True)
@@ -237,7 +243,7 @@ def positive_functional(cone: Cone):
 
 def is_pointed(cone: Cone) -> bool:
     """A cone is pointed iff its dual is full-dimensional."""
-    return matrix_rank(dual_cone(cone).generators) == cone.rank
+    return dual_cone(cone).dimension == cone.rank
 
 
 def is_full_dimensional(cone: Cone) -> bool:
@@ -279,6 +285,8 @@ def dual_cone(cone: Cone) -> DualCone:
     the last pass keeps a candidate iff the rays it vanishes on have rank
     ``rank - 1``. ``dual_as_cone`` and the kernel face of
     ``toric.kernel_of_root`` take the output as that ray list unchecked.
+    The rank of the generators is stored with them as ``dimension``, so
+    ``is_pointed`` costs a cache hit and a comparison.
     """
     n = cone.rank
     gens = set()
@@ -307,7 +315,8 @@ def dual_cone(cone: Cone) -> DualCone:
             if matrix_rank(active) >= full_rank - 1:
                 kept.add(g)
         gens = kept
-    return DualCone(rank=n, generators=tuple(sorted(gens)))
+    gens = tuple(sorted(gens))
+    return DualCone(rank=n, generators=gens, dimension=matrix_rank(gens))
 
 
 def dual_as_cone(cone: Cone) -> Cone:
@@ -413,32 +422,64 @@ def lattice_points(rows, bound: int) -> list:
     is written as two opposite rows.
 
     Depth-first over the coordinates. At each depth the coordinate's
-    feasible interval is cut straight from the rows: the slack a row still
-    needs, less the most the later coordinates can give inside the box, is
-    what this coordinate has to supply.
+    feasible interval is cut from rows in that coordinate alone, given the
+    prefix fixed so far:
+    - at coordinates 0 .. n-3 the rows are relaxed: the slack a row still
+      needs, less the most the later coordinates can give inside the box,
+      is what this coordinate has to supply;
+    - at coordinate n-2 they are exact: x_{n-1} is eliminated by
+      Fourier-Motzkin, pairing every row with a positive last entry with
+      every row with a negative one, the box rows of x_{n-1} included, and
+      rows with a zero last entry are taken as they are. So every value
+      kept there leaves a nonempty real interval for x_{n-1};
+    - at coordinate n-1 nothing is left to relax, and the integers of its
+      interval are emitted behind the prefix.
+    The multipliers of the elimination depend on the rows only, so they are
+    computed once; a node computes just the right-hand sides.
     """
     n = len(rows[0][0])
     # reach[k][i]: the most coordinates k.. can add to row i inside the box
     reach = [[bound * sum(abs(x) for x in a[k:]) for a, _ in rows]
              for k in range(n + 1)]
     columns = [[a[k] for a, _ in rows] for k in range(n)]
+    # exact rows of x_{n-2}: (a, i, p, j, q, c) reads
+    # a * x_{n-2} >= p * needs[i] + q * needs[j] + c. Before elimination a
+    # row of (x_{n-2}, x_{n-1}) is (a, z, i, w, c), needing w * needs[i] + c;
+    # the box rows of x_{n-1} have w = 0 and c = -bound
+    exact = []
+    if n >= 2:
+        before, last = columns[n - 2], columns[n - 1]
+        lowers = [(before[i], z, i, 1, 0) for i, z in enumerate(last) if z > 0]
+        uppers = [(before[i], z, i, 1, 0) for i, z in enumerate(last) if z < 0]
+        exact = [(before[i], i, 1, 0, 0, 0) for i, z in enumerate(last) if z == 0]
+        for a, z, i, w, c in lowers + [(0, 1, 0, 0, -bound)]:
+            for a2, z2, j, w2, c2 in uppers + [(0, -1, 0, 0, -bound)]:
+                if w or w2:  # the two box rows alone say nothing of x_{n-2}
+                    p, q = -z2, z
+                    exact.append((p * a + q * a2, i, p * w, j, q * w2,
+                                  p * c + q * c2))
     points = []
     coords = [0] * n
 
     def walk(k, needs):
         # needs[i]: what coordinates k.. must still add to row i
-        if k == n:
-            points.append(tuple(coords))
-            return
         lo, hi = -bound, bound
-        for a, need, most in zip(columns[k], needs, reach[k + 1]):
-            need -= most
+        if k == n - 2:
+            cuts = [(a, p * needs[i] + q * needs[j] + c)
+                    for a, i, p, j, q, c in exact]
+        else:
+            cuts = zip(columns[k], map(sub, needs, reach[k + 1]))
+        for a, need in cuts:
             if a > 0:
                 lo = max(lo, -(-need // a))
             elif a < 0:
                 hi = min(hi, need // a)
             elif need > 0:
                 return
+        if k == n - 1:
+            prefix = tuple(coords[:k])
+            points.extend(prefix + (val,) for val in range(lo, hi + 1))
+            return
         for val in range(lo, hi + 1):
             coords[k] = val
             walk(k + 1, [need - a * val for a, need in zip(columns[k], needs)])

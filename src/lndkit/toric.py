@@ -27,9 +27,7 @@ from .cone import (
     Cone,
     adjacency_set,
     dual_as_cone,
-    dual_cone,
     hilbert_basis,
-    is_full_dimensional,
     is_pointed,
     lattice_points,
     lineality_witness,
@@ -263,17 +261,15 @@ def kernel_of_root(cone: Cone, root: DemazureRoot,
 
     The kernel is spanned by the characters at level zero against the
     distinguished ray, so its generators are the Hilbert basis of the dual
-    cone's facet orthogonal to that ray.
+    cone's facet orthogonal to that ray. A cone that is not
+    full-dimensional is refused as ``dual_as_cone`` refuses it: the line of
+    its dual lies in that face too, so the kernel has no Hilbert basis.
     """
     _require_pointed(cone)
-    if is_full_dimensional(cone):
-        # the facet of the pointed dual orthogonal to the ray: its rays are
-        # the dual's rays on that hyperplane
-        face = Cone(cone.rank, tuple(d for d in dual_cone(cone).generators
-                                     if pairing(d, root.ray) == 0))
-    else:
-        face = make_cone(cone.rank, dual_cone(
-            make_cone(cone.rank, cone.rays + (vec_scale(-1, root.ray),))).generators)
+    # the facet of the pointed dual orthogonal to the ray: its rays are the
+    # dual's rays on that hyperplane
+    face = Cone(cone.rank, tuple(d for d in dual_as_cone(cone).rays
+                                 if pairing(d, root.ray) == 0))
     hb = hilbert_basis(face, bound)
     assert all(pairing(m, root.ray) == 0 for m in hb.elements)
     return KernelDescription(ray=root.ray, generators=hb.elements,

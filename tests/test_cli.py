@@ -154,6 +154,7 @@ FLAT4_JSON = ('{"rank": 4, "rays": [[-1,-1,-2,1],[-1,0,-1,-1],'
 @pytest.mark.parametrize("argv", [
     ["cone", "commute", "--root", "-2,-2,2,-1", "--root", "1,0,-1,0"],
     ["cone", "isotropy", "--root", "-2,-2,2,-1"],
+    ["cone", "kernel", "--root", "-2,-2,2,-1"],
 ])
 def test_cone_lower_dimensional_refusal_pinned(invoke, argv):
     code, out, err = invoke(argv, FLAT4_JSON)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil
 
 import pytest
 
@@ -53,6 +54,39 @@ def decomposes(c, elems, target):
         return seen[t]
 
     return go(tuple(target))
+
+
+def relaxed_walk(rows, bound):
+    """The box scan before the exact last stage: depth-first over the
+    coordinates, each one's interval cut from every row relaxed by the most
+    the later coordinates can give inside the box, so a prefix is only
+    found dead once its last coordinate is reached."""
+    n = len(rows[0][0])
+    reach = [[bound * sum(abs(x) for x in a[k:]) for a, _ in rows]
+             for k in range(n + 1)]
+    columns = [[a[k] for a, _ in rows] for k in range(n)]
+    points = []
+    coords = [0] * n
+
+    def walk(k, needs):
+        if k == n:
+            points.append(tuple(coords))
+            return
+        lo, hi = -bound, bound
+        for a, need, most in zip(columns[k], needs, reach[k + 1]):
+            need -= most
+            if a > 0:
+                lo = max(lo, -(-need // a))
+            elif a < 0:
+                hi = min(hi, need // a)
+            elif need > 0:
+                return
+        for val in range(lo, hi + 1):
+            coords[k] = val
+            walk(k + 1, [need - a * val for a, need in zip(columns[k], needs)])
+
+    walk(0, [c for _, c in rows])
+    return points
 
 
 def random_pointed_cone(rng, rank, lo=-2, hi=3, max_bound=8):
@@ -158,14 +192,96 @@ def test_lattice_points_against_brute_force():
                 # with its opposite row this is the equality <a, x> == c
                 rows.append((tuple(-x for x in a), -c))
         cases.append((rows, rng.randint(0, 3)))
-    nonempty = 0
+    # the shapes the exact elimination of the last coordinate must get
+    # right: two coordinates, where it starts at once; a zero last column,
+    # where no row pairs; and equalities whose last entry is 2 or 3, where
+    # a prefix can leave a real interval holding no integer
+    cases += [
+        ([((1, 1), 0), ((-1, 2), -3)], 5),
+        ([((0, 2), 1), ((0, -2), -1)], 4),
+        ([((1, 2), 1), ((-1, -2), -1)], 5),
+        ([((1, -1, 0), 0), ((0, 2, 0), 1)], 2),
+        ([((1, 0, 2), 1), ((-1, 0, -2), -1), ((0, 1, 1), 0)], 5),
+        ([((2, -1, 3), 1), ((-2, 1, -3), -1)], 5),
+    ]
+    for _ in range(90):
+        n = rng.randint(2, 4)
+        flat = rng.random() < 0.25
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            a = [rng.choice((-2, -1, 0, 0, 1, 2, 3)) for _ in range(n)]
+            c = rng.randint(-5, 5)
+            if flat:
+                a[-1] = 0
+            elif rng.random() < 0.4:
+                a[-1] = rng.choice((-3, -2, 2, 3))
+                rows.append((tuple(-x for x in a), -c))
+            rows.append((tuple(a), c))
+        cases.append((rows, rng.randint(0, 5)))
+    nonempty = gaps = 0
     for rows, bound in cases:
         n = len(rows[0][0])
-        want = [x for x in product(range(-bound, bound + 1), repeat=n)
+        box = range(-bound, bound + 1)
+        want = [x for x in product(box, repeat=n)
                 if all(sum(p * q for p, q in zip(a, x)) >= c for a, c in rows)]
         assert C.lattice_points(rows, bound) == want
         nonempty += bool(want)
-    assert 30 < nonempty < 140
+        # prefixes whose real interval for the last coordinate is nonempty
+        # but holds no integer
+        for prefix in product(box, repeat=n - 1):
+            lo, hi, ok = Fraction(-bound), Fraction(bound), True
+            for a, c in rows:
+                need = c - sum(p * q for p, q in zip(a, prefix))
+                if a[-1] > 0:
+                    lo = max(lo, Fraction(need, a[-1]))
+                elif a[-1] < 0:
+                    hi = min(hi, Fraction(need, a[-1]))
+                else:
+                    ok = ok and need <= 0
+            gaps += ok and lo <= hi and ceil(lo) > hi
+    assert 90 < nonempty < 210
+    assert gaps > 200
+
+
+def root_scans(seed, count):
+    """Each ray's Demazure-root rows of random pointed cones of ranks 3-4."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        cone = random_pointed_cone(rng, rng.choice((3, 4)), max_bound=40)
+        for v in cone.rays:
+            rows = [(v, -1), (tuple(-x for x in v), 1)]
+            yield rows + [(r, 0) for r in cone.rays if r != v]
+
+
+def test_lattice_points_equals_relaxed_walk_on_root_scans():
+    total = 0
+    for rows in root_scans(406, 16):
+        want = relaxed_walk(rows, 10)
+        assert C.lattice_points(rows, 10) == want
+        total += len(want)
+    assert total > 1000
+
+
+def test_lattice_points_equals_relaxed_walk_on_hilbert_boxes():
+    # the toric-sweep benchmark's cones: the gates' random cones whose dual
+    # Hilbert box has at most 3375 points at rank 3 and 28561 at rank 4
+    rng = random.Random(407)
+    limit = {3: 3375, 4: 28561}
+    scanned = 0
+    while scanned < 12:
+        rank = rng.choice((3, 4))
+        rays = [tuple(rng.randrange(-2, 3) for _ in range(rank))
+                for _ in range(rng.randrange(rank, rank + 3))]
+        cone = C.make_cone(rank, [r for r in rays if any(r)])
+        if lattice.matrix_rank(cone.rays) < rank or not C.is_pointed(cone):
+            continue
+        dual = C.dual_as_cone(cone)
+        bound = C.completeness_bound(dual)
+        if (2 * bound + 1) ** rank > limit[rank]:
+            continue
+        rows = [(d, 0) for d in C.dual_cone(dual).generators]
+        assert C.lattice_points(rows, bound) == relaxed_walk(rows, bound)
+        scanned += 1
 
 
 # ---------------------------------------------------------------------------
