@@ -6,7 +6,7 @@ on each other bottom-up: lattice -> cone -> algebra -> toric / trinomial,
 with a CLI on top.
 """
 
-from .algebra import Polynomial, TrinomialRing, exponential, is_locally_nilpotent
+from .algebra import Polynomial, TrinomialRing, exponential
 from .cone import Cone, dual_cone, hilbert_basis, make_cone
 from .errors import InputError, LndkitError, RefusalError, SearchBoundExceeded
 from .toric import (
@@ -37,7 +37,6 @@ __all__ = [
     "exponential",
     "hilbert_basis",
     "is_demazure_root",
-    "is_locally_nilpotent",
     "is_maximal",
     "is_rigid",
     "lnds_commute",

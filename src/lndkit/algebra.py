@@ -21,7 +21,6 @@ of g. Any other pair compares a(b(g)) with b(a(g)).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SearchBoundExceeded
@@ -150,21 +149,6 @@ class ParamPoly:
                           for pw, c in self.terms.items())
         return hash((vs, items))
 
-    def substitute(self, assignment: dict) -> "ParamPoly":
-        """Replace parameters by Fractions or other ParamPoly values."""
-        out = ParamPoly.constant(0)
-        for pw, c in self.terms.items():
-            term = ParamPoly.constant(c)
-            for var, power in zip(self.vars, pw):
-                if power == 0:
-                    continue
-                val = assignment.get(var)
-                if val is None:
-                    val = ParamPoly.variable(var)
-                term = term * ParamPoly.coerce(val) ** power
-            out = out + term
-        return out
-
     def constant_value(self):
         """The Fraction value when the polynomial is constant, else None."""
         if not self.terms:
@@ -246,10 +230,6 @@ class Polynomial:
         return poly
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def monomial(cls, exp, coeff=1) -> "Polynomial":
         return cls({tuple(exp): coeff})
 
@@ -258,9 +238,6 @@ class Polynomial:
 
     def support(self):
         return tuple(sorted(self.terms))
-
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -303,9 +280,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def map_coefficients(self, fn):
-        return Polynomial({exp: fn(c) for exp, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -411,61 +385,6 @@ def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NilpotencyVerdict:
-    status: str  # "nilpotent" | "not_nilpotent" | "inconclusive"
-    orders: tuple[int, ...]
-    witness: object = None
-
-    @property
-    def nilpotent(self):
-        if self.status == "nilpotent":
-            return True
-        if self.status == "not_nilpotent":
-            return False
-        return None
-
-
-def is_locally_nilpotent(derivation: Derivation, generators,
-                         cap: int = 64) -> NilpotencyVerdict:
-    """Iterate the derivation on each generator until it dies or the cap hits.
-
-    An eigenvector along the way (image = scalar * current, nonzero scalar)
-    proves the derivation is not locally nilpotent; running past the cap is
-    reported as inconclusive, never as a verdict.
-    """
-    orders = []
-    for g in generators:
-        current = g
-        k = 0
-        while not current.is_zero():
-            if k >= cap:
-                return NilpotencyVerdict(
-                    status="inconclusive", orders=tuple(orders),
-                    witness={"cap": cap, "generator": current.support()})
-            nxt = derivation.apply(current)
-            if not nxt.is_zero() and nxt.support() == current.support():
-                ratios = {exp: nxt.terms[exp] for exp in nxt.terms}
-                base = {exp: current.terms[exp] for exp in current.terms}
-                scalars = set()
-                ok = True
-                for exp in ratios:
-                    c0 = base[exp]
-                    if isinstance(c0, ParamPoly) or isinstance(ratios[exp], ParamPoly):
-                        ok = False
-                        break
-                    scalars.add(Fraction(ratios[exp]) / Fraction(c0))
-                if ok and len(scalars) == 1:
-                    return NilpotencyVerdict(
-                        status="not_nilpotent", orders=tuple(orders),
-                        witness={"eigenvector": current.support(),
-                                 "eigenvalue": str(next(iter(scalars)))})
-            current = nxt
-            k += 1
-        orders.append(k)
-    return NilpotencyVerdict(status="nilpotent", orders=tuple(orders))
-
-
 def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
                 cap: int = 64) -> Polynomial:
     """exp(param * derivation) applied to poly, exactly.
@@ -489,21 +408,6 @@ def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
         k += 1
         factorial *= k
     return Polynomial(out)
-
-
-def homogeneous_components(poly: Polynomial, degree_fn):
-    """Split a polynomial along a grading.
-
-    ``degree_fn`` maps an exponent tuple to any hashable label; the result
-    maps labels to the homogeneous parts, and the parts sum back to the
-    input.
-    """
-    buckets = {}
-    for exp, c in poly.terms.items():
-        label = degree_fn(exp)
-        buckets.setdefault(label, {})[exp] = c
-    return {label: Polynomial(terms) for label, terms in sorted(
-        buckets.items(), key=lambda kv: repr(kv[0]))}
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,8 @@ def _load_json(path):
         raise InputError(
             "invalid JSON in {}: {}".format(name, err.msg),
             position={"line": err.lineno, "column": err.colno})
+    except RecursionError:
+        raise InputError("JSON in {} is nested too deeply".format(name))
 
 
 def _int_list(value, where):

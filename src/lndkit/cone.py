@@ -6,8 +6,8 @@ the yes/no face questions are read off its cached output by exact rank
 tests: pointedness, two-face adjacency on a pointed cone, and the dual and
 its faces as cones. An exact Fourier-Motzkin core over Fractions answers
 the rest, where the point it finds is the answer: redundancy removal in
-``make_cone``, the positive grading functional, the two-face functional
-that partner roots walk along, and adjacency on a cone that is not pointed.
+``make_cone``, the two-face functional that partner roots walk along, and
+adjacency on a cone that is not pointed.
 The box scan ``lattice_points``, behind root enumeration, local slices and
 Hilbert bases, pairs rows the same way, over the integers, to eliminate
 its last coordinate exactly. There is no floating point anywhere and no
@@ -233,22 +233,9 @@ def make_cone(rank: int, generators) -> Cone:
     return Cone(rank=rank, rays=extremal_rays(generators))
 
 
-def positive_functional(cone: Cone):
-    """Integer m with <m, ray> >= 1 for every ray, or None if not pointed."""
-    if not cone.rays:
-        return (0,) * cone.rank
-    ineqs = [(list(r), 1) for r in cone.rays]
-    return _integer_point(feasible_point(cone.rank, [], ineqs))
-
-
 def is_pointed(cone: Cone) -> bool:
     """A cone is pointed iff its dual is full-dimensional."""
     return dual_cone(cone).dimension == cone.rank
-
-
-def is_full_dimensional(cone: Cone) -> bool:
-    """Whether the rays span the whole space."""
-    return matrix_rank(cone.rays) == cone.rank
 
 
 def _orthogonal_vector(rows, rank: int):
@@ -335,13 +322,6 @@ def dual_as_cone(cone: Cone) -> Cone:
             "the dual semigroup has no Hilbert basis",
             witness={"dual_lineality": list(witness)})
     return Cone(cone.rank, dual_cone(cone).generators)
-
-
-def cone_member(cone: Cone, x: LatticeVector) -> bool:
-    """Lattice point membership through the dual description."""
-    if len(x) != cone.rank:
-        raise ValueError("vector length does not match rank")
-    return all(pairing(x, d) >= 0 for d in dual_cone(cone).generators)
 
 
 def _ray_pair(cone: Cone, v, vp):

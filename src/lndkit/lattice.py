@@ -8,7 +8,7 @@ in the cocharacter lattice N, and ``pairing`` is the evaluation between them.
 
 There are two eliminations. ``row_reduce`` is a fraction-free echelon form,
 read for rank, determinant, rational inverse and kernel vectors;
-``smith_normal_form`` gives invariant factors, basis extensions, dual pairs
+``smith_normal_form`` gives invariant factors, the basis-extension test, dual pairs
 and the canonical class labels of ``LatticeQuotient``.
 
 All transformation matrices returned here are unimodular (det = +-1), and
@@ -56,11 +56,6 @@ def content(v: LatticeVector) -> int:
     for x in v:
         g = gcd(g, x)
     return g
-
-
-def is_primitive(v: LatticeVector) -> bool:
-    """True when v is part of some Z-basis of its own line, i.e. content 1."""
-    return content(v) == 1
 
 
 def primitive_part(v: LatticeVector) -> LatticeVector:
@@ -158,16 +153,6 @@ def rational_inverse(a: LatticeMatrix):
     if pivots != list(range(n)):
         return None
     return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
-
-
-def integer_inverse(a: LatticeMatrix) -> LatticeMatrix:
-    """Inverse of a unimodular matrix, as an integer matrix."""
-    inv = rational_inverse(a)
-    if inv is None:
-        raise ValueError("matrix is singular")
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(map(int, row)) for row in inv)
 
 
 @dataclass(frozen=True)
@@ -309,26 +294,6 @@ def extends_to_basis(vectors) -> bool:
     return len(invf) == k and all(f == 1 for f in invf)
 
 
-def complete_to_basis(vectors) -> LatticeMatrix | None:
-    """Extend the given rows to a full Z-basis, or None when impossible.
-
-    The output stacks the inputs on top of complementary rows drawn from the
-    Smith transform, so it is deterministic.
-    """
-    vs = tuple(tuple(v) for v in vectors)
-    if not vs:
-        raise ValueError("nothing to complete")
-    n = len(vs[0])
-    if not extends_to_basis(vs):
-        return None
-    k = len(vs)
-    dec = smith_normal_form(vs)
-    vinv = integer_inverse(dec.v)
-    full = vs + vinv[k:]
-    assert abs(determinant(full)) == 1
-    return full
-
-
 def solve_dual_pair(v: LatticeVector, vp: LatticeVector):
     """Characters (e, ep) with <e,v> = -1, <e,vp> = 0, <ep,v> = 0, <ep,vp> = -1.
 
@@ -364,18 +329,6 @@ class QuasitorusPresentation:
     free_rank: int
     torsion: tuple[int, ...]
     characters: LatticeMatrix
-
-    def order(self):
-        """Group order when finite, else None."""
-        if self.free_rank > 0:
-            return None
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
-
-    def is_connected(self) -> bool:
-        return not self.torsion
 
 
 class LatticeQuotient:
@@ -421,14 +374,6 @@ class LatticeQuotient:
 
     def same_class(self, x: LatticeVector, y: LatticeVector) -> bool:
         return self.degree(x) == self.degree(y)
-
-    def presentation(self) -> QuasitorusPresentation:
-        """Character group of Hom(K, K*) presented as a quasitorus."""
-        return QuasitorusPresentation(
-            free_rank=self.free_rank,
-            torsion=self.torsion,
-            characters=self.relations,
-        )
 
 
 def quasitorus_kernel(quotient: LatticeQuotient, d: LatticeVector) -> QuasitorusPresentation:

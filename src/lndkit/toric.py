@@ -31,8 +31,6 @@ from .cone import (
     is_pointed,
     lattice_points,
     lineality_witness,
-    make_cone,
-    positive_functional,
     two_face_adjacent,
     two_face_functional,
 )
@@ -54,7 +52,6 @@ from .lattice import (
     vec_add,
     vec_mat,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -152,15 +149,6 @@ def lnds_commute(a: DemazureRoot, b: DemazureRoot) -> bool:
 def roots_equivalent(a: DemazureRoot, b: DemazureRoot) -> bool:
     """Equivalence means equal kernels, and the kernel only sees the ray."""
     return a.ray == b.ray
-
-
-def commuting_pair_exists(cone: Cone) -> bool:
-    """Existence of two commuting, inequivalent homogeneous LNDs.
-
-    Holds iff some pair of rays spans a two-face and extends to a basis.
-    """
-    _require_pointed(cone)
-    return any(adjacency_set(cone, v) for v in cone.rays)
 
 
 def _partner_root(cone: Cone, vp: LatticeVector, v: LatticeVector,
@@ -300,50 +288,6 @@ def find_local_slice(cone: Cone, root: DemazureRoot, cap: int = 64) -> LatticeVe
                               cap=cap)
 
 
-@dataclass(frozen=True)
-class SliceExpression:
-    """chi^m * (chi^(slice+root))^twist == chi^kernel_weight * (chi^slice)^level."""
-
-    weight: LatticeVector
-    slice: LatticeVector
-    level: int
-    twist: int
-    kernel_weight: LatticeVector
-
-
-def express_in_slice(cone: Cone, root: DemazureRoot, m,
-                     slice_weight: LatticeVector | None = None,
-                     cap: int = 64) -> SliceExpression:
-    """Rewrite a character over the kernel after inverting the slice image.
-
-    Searches the minimal twist by the kernel character slice+root that
-    lands the level-zero part back in the semigroup, then re-verifies the
-    monomial identity by actual polynomial multiplication.
-    """
-    m = tuple(m)
-    if any(pairing(m, r) < 0 for r in cone.rays):
-        raise RefusalError("character lies outside the semigroup",
-                           witness={"character": list(m)})
-    s = find_local_slice(cone, root, cap=cap) if slice_weight is None else tuple(slice_weight)
-    level = pairing(m, root.ray)
-    ker_dir = vec_add(s, root.vector)
-    for twist in range(cap + 1):
-        k = vec_sub(vec_add(m, vec_scale(twist, ker_dir)), vec_scale(level, s))
-        if all(pairing(k, r) >= 0 for r in cone.rays):
-            assert pairing(k, root.ray) == 0
-            lhs = Polynomial.monomial(m)
-            rhs = Polynomial.monomial(k)
-            for _ in range(twist):
-                lhs = lhs * Polynomial.monomial(ker_dir)
-            for _ in range(level):
-                rhs = rhs * Polynomial.monomial(s)
-            assert lhs == rhs
-            return SliceExpression(weight=m, slice=s, level=level,
-                                   twist=twist, kernel_weight=k)
-    raise SearchBoundExceeded("no kernel twist rewrites the character "
-                              "inside the cap", cap=cap)
-
-
 # ---------------------------------------------------------------------------
 # isotropy pieces
 
@@ -449,84 +393,16 @@ def toric_isotropy_report(cone: Cone, e, hilbert_bound: int | None = None,
     )
 
 
-# ---------------------------------------------------------------------------
-# non-saturated semigroups
-
-
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    status: str  # "admissible" | "inadmissible" | "inconclusive"
-    failures: tuple
-
-    @property
-    def admissible(self):
-        if self.status == "admissible":
-            return True
-        if self.status == "inadmissible":
-            return False
-        return None
-
-
-def root_admissible_nonnormal(generators, weight, shift,
-                              node_cap: int = 20000) -> AdmissibilityVerdict:
-    """Does the shifted derivation preserve a non-saturated semigroup algebra.
-
-    The rule chi^s -> <s, weight> chi^(s + shift) preserves the span of the
-    semigroup iff every generator with nonzero pairing lands back inside
-    the semigroup after the shift. Membership is decided by memoized
-    descent; a strictly positive functional bounds the depth, so the search
-    is complete unless the node cap interrupts it.
-    """
-    gens = tuple(tuple(g) for g in generators)
-    if not gens:
-        return AdmissibilityVerdict(status="admissible", failures=())
-    n = len(gens[0])
-    weight = tuple(weight)
-    shift = tuple(shift)
-    phi = positive_functional(make_cone(n, gens))
-    if phi is None:
-        raise RefusalError(
-            "semigroup is not positively graded, membership search "
-            "would not terminate",
-            witness={"generators": [list(g) for g in gens]})
-
-    seen = {}
-    budget = [node_cap]
-
-    def member(t):
-        if all(x == 0 for x in t):
-            return True
-        if pairing(t, phi) <= 0:
-            return False
-        if t in seen:
-            return seen[t]
-        if budget[0] <= 0:
-            raise SearchBoundExceeded("membership search cap", cap=node_cap)
-        budget[0] -= 1
-        seen[t] = False
-        for g in gens:
-            if member(vec_sub(t, g)):
-                seen[t] = True
-                break
-        return seen[t]
-
-    failures = []
-    try:
-        for g in gens:
-            if pairing(g, weight) == 0:
-                continue
-            if not member(vec_add(g, shift)):
-                failures.append(g)
-    except SearchBoundExceeded:
-        return AdmissibilityVerdict(status="inconclusive", failures=tuple(failures))
-    if failures:
-        return AdmissibilityVerdict(status="inadmissible", failures=tuple(failures))
-    return AdmissibilityVerdict(status="admissible", failures=())
-
-
 def symbolic_commute_check(cone: Cone, a: DemazureRoot, b: DemazureRoot) -> bool:
-    """Cross-validation path: evaluate the commutator on the dual Hilbert
-    basis monomials, which span the coordinate algebra."""
-    hb = hilbert_basis(dual_as_cone(cone))
-    gens = [Polynomial.monomial(m) for m in hb.elements]
+    """Cross-validation path: evaluate the commutator on the monomials of
+    the dual cone's generators.
+
+    By the closed form in ``algebra``, [a, b](chi^m) = <m, w> chi^(m + s_a + s_b)
+    is linear in m, so [a, b] kills every chi^m with m in the semigroup iff
+    <m, w> = 0 on a set of semigroup characters that spans M over Q. The
+    dual generators are such a set: they are lattice points of the dual,
+    which is full-dimensional because a cone with roots is pointed. A cone
+    that is not full-dimensional is refused as ``dual_as_cone`` refuses it.
+    """
+    gens = [Polynomial.monomial(d) for d in dual_as_cone(cone).rays]
     return commutator_vanishes_on(a.derivation(), b.derivation(), gens)

@@ -1,0 +1,171 @@
+"""Slow definitional references that the tests compare lndkit against.
+
+Nothing in lndkit calls these. Each one restates a definition directly,
+by a route independent of the fast criterion it checks, so a test can ask
+both and compare.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+
+from lndkit.algebra import ParamPoly, Polynomial
+from lndkit.cone import Cone, dual_cone, feasible_point
+from lndkit.errors import RefusalError, SearchBoundExceeded
+from lndkit.lattice import LatticeVector, pairing, vec_add, vec_scale, vec_sub
+from lndkit.toric import DemazureRoot, find_local_slice
+
+
+# ---------------------------------------------------------------------------
+# cones
+
+
+def cone_member(cone: Cone, x: LatticeVector) -> bool:
+    """Lattice point membership through the dual description."""
+    if len(x) != cone.rank:
+        raise ValueError("vector length does not match rank")
+    return all(pairing(x, d) >= 0 for d in dual_cone(cone).generators)
+
+
+def positive_functional(cone: Cone):
+    """Integer m with <m, ray> >= 1 for every ray, or None if not pointed.
+
+    Solved by Fourier-Motzkin, apart from the double description that
+    ``is_pointed`` reads.
+    """
+    if not cone.rays:
+        return (0,) * cone.rank
+    point = feasible_point(cone.rank, [], [(list(r), 1) for r in cone.rays])
+    if point is None:
+        return None
+    scale = lcm(*(p.denominator for p in point))
+    return tuple(int(p * scale) for p in point)
+
+
+# ---------------------------------------------------------------------------
+# polynomials and derivations
+
+
+def substitute(p: ParamPoly, assignment: dict) -> ParamPoly:
+    """Replace the parameters of p by Fractions or other ParamPoly values."""
+    out = ParamPoly.constant(0)
+    for pw, c in p.terms.items():
+        term = ParamPoly.constant(c)
+        for var, power in zip(p.vars, pw):
+            if power == 0:
+                continue
+            val = assignment.get(var)
+            if val is None:
+                val = ParamPoly.variable(var)
+            term = term * ParamPoly.coerce(val) ** power
+        out = out + term
+    return out
+
+
+def homogeneous_components(poly: Polynomial, degree_fn):
+    """Split a polynomial along a grading.
+
+    ``degree_fn`` maps an exponent tuple to any hashable label; the result
+    maps labels to the homogeneous parts, and the parts sum back to the
+    input.
+    """
+    buckets = {}
+    for exp, c in poly.terms.items():
+        buckets.setdefault(degree_fn(exp), {})[exp] = c
+    return {label: Polynomial(terms) for label, terms in sorted(
+        buckets.items(), key=lambda kv: repr(kv[0]))}
+
+
+@dataclass(frozen=True)
+class NilpotencyVerdict:
+    status: str  # "nilpotent" | "not_nilpotent" | "inconclusive"
+    orders: tuple[int, ...]
+    witness: object = None
+
+    @property
+    def nilpotent(self):
+        if self.status == "nilpotent":
+            return True
+        if self.status == "not_nilpotent":
+            return False
+        return None
+
+
+def is_locally_nilpotent(derivation, generators, cap: int = 64) -> NilpotencyVerdict:
+    """Iterate the derivation on each generator until it dies or the cap hits.
+
+    An eigenvector along the way (image = scalar * current, nonzero scalar)
+    proves the derivation is not locally nilpotent; running past the cap is
+    reported as inconclusive, never as a verdict.
+    """
+    orders = []
+    for g in generators:
+        current = g
+        k = 0
+        while not current.is_zero():
+            if k >= cap:
+                return NilpotencyVerdict(
+                    status="inconclusive", orders=tuple(orders),
+                    witness={"cap": cap, "generator": current.support()})
+            nxt = derivation.apply(current)
+            if not nxt.is_zero() and nxt.support() == current.support():
+                pairs = [(current.terms[e], nxt.terms[e]) for e in nxt.terms]
+                if not any(isinstance(c, ParamPoly) for pair in pairs for c in pair):
+                    scalars = {Fraction(b) / Fraction(a) for a, b in pairs}
+                    if len(scalars) == 1:
+                        return NilpotencyVerdict(
+                            status="not_nilpotent", orders=tuple(orders),
+                            witness={"eigenvector": current.support(),
+                                     "eigenvalue": str(scalars.pop())})
+            current = nxt
+            k += 1
+        orders.append(k)
+    return NilpotencyVerdict(status="nilpotent", orders=tuple(orders))
+
+
+# ---------------------------------------------------------------------------
+# toric slices
+
+
+@dataclass(frozen=True)
+class SliceExpression:
+    """chi^m * (chi^(slice+root))^twist == chi^kernel_weight * (chi^slice)^level."""
+
+    weight: LatticeVector
+    slice: LatticeVector
+    level: int
+    twist: int
+    kernel_weight: LatticeVector
+
+
+def express_in_slice(cone: Cone, root: DemazureRoot, m,
+                     slice_weight: LatticeVector | None = None,
+                     cap: int = 64) -> SliceExpression:
+    """Rewrite a character over the kernel after inverting the slice image.
+
+    Searches the minimal twist by the kernel character slice+root that
+    lands the level-zero part back in the semigroup, then re-verifies the
+    monomial identity by actual polynomial multiplication.
+    """
+    m = tuple(m)
+    if any(pairing(m, r) < 0 for r in cone.rays):
+        raise RefusalError("character lies outside the semigroup",
+                           witness={"character": list(m)})
+    s = find_local_slice(cone, root, cap=cap) if slice_weight is None else tuple(slice_weight)
+    level = pairing(m, root.ray)
+    ker_dir = vec_add(s, root.vector)
+    for twist in range(cap + 1):
+        k = vec_sub(vec_add(m, vec_scale(twist, ker_dir)), vec_scale(level, s))
+        if all(pairing(k, r) >= 0 for r in cone.rays):
+            assert pairing(k, root.ray) == 0
+            lhs = Polynomial.monomial(m)
+            rhs = Polynomial.monomial(k)
+            for _ in range(twist):
+                lhs = lhs * Polynomial.monomial(ker_dir)
+            for _ in range(level):
+                rhs = rhs * Polynomial.monomial(s)
+            assert lhs == rhs
+            return SliceExpression(weight=m, slice=s, level=level,
+                                   twist=twist, kernel_weight=k)
+    raise SearchBoundExceeded("no kernel twist rewrites the character "
+                              "inside the cap", cap=cap)

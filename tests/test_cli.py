@@ -7,6 +7,7 @@ twice and compare raw bytes.
 
 import io
 import json
+from time import perf_counter
 
 import pytest
 
@@ -89,6 +90,26 @@ def test_cone_commute_same_ray(invoke):
     assert code == 0
     data = json.loads(out)
     assert data["commute"] is True and data["equivalent"] is True
+
+
+def test_cone_commute_on_a_cone_with_a_huge_dual_box(invoke):
+    # the dual of this cone has a Hilbert box of 68.6 M points; the symbolic
+    # check reads only the dual's generators, so it answers at once
+    cone = ('{"rank": 4, "rays": [[-2,2,2,1],[-1,-1,-1,2],[1,1,-1,1],'
+            '[2,-1,0,1],[2,0,-2,1]]}')
+    start = perf_counter()
+    code, out, err = invoke(
+        ["cone", "commute", "--root", "-1,-1,-1,1", "--root", "0,-1,0,1"], cone)
+    assert perf_counter() - start < 5
+    assert code == 0 and err == ""
+    ray = {"ray": [-2, 2, 2, 1], "ray_index": 0}
+    assert out == json.dumps({
+        "commute": True,
+        "criterion": True,
+        "equivalent": True,
+        "roots": [dict(ray, vector=[-1, -1, -1, 1]), dict(ray, vector=[0, -1, 0, 1])],
+        "symbolic": True,
+    }, sort_keys=True, indent=2) + "\n"
 
 
 def test_cone_commute_needs_two_roots(invoke):
@@ -219,6 +240,14 @@ def test_malformed_json_reports_position(invoke):
     assert code == 2 and out == ""
     data = json.loads(err)
     assert data["position"]["line"] == 2
+
+
+def test_deeply_nested_json_is_an_input_error(invoke):
+    code, out, err = invoke(["cone", "roots"], "[" * 200000 + "]" * 200000)
+    assert code == 2 and out == ""
+    data = json.loads(err)
+    assert data == {"error": "JSON in <stdin> is nested too deeply",
+                    "position": None}
 
 
 def test_bad_vector_length(invoke):

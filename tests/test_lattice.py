@@ -78,9 +78,9 @@ def test_pairing_basics():
 
 
 def test_primitivity():
-    assert lattice.is_primitive((2, 3))
-    assert not lattice.is_primitive((2, 4))
-    assert not lattice.is_primitive((0, 0))
+    assert lattice.content((2, 3)) == 1
+    assert lattice.content((2, -4)) == 2
+    assert lattice.content((0, 0)) == 0
     assert lattice.primitive_part((4, -6)) == (2, -3)
     with pytest.raises(ValueError):
         lattice.primitive_part((0, 0, 0))
@@ -381,19 +381,17 @@ def test_solve_dual_pair_standard_basis():
     assert e == (-1, 0) and ep == (0, -1)
 
 
-def test_complete_to_basis():
+def test_extends_to_basis_matches_minor_oracle_up_to_n_vectors():
     rng = random.Random(404)
+    extending = 0
     for _ in range(100):
         n = rng.randint(2, 5)
         k = rng.randint(1, n)
         vs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k)]
-        full = lattice.complete_to_basis(vs)
-        if minor_gcd_extends(vs):
-            assert full is not None
-            assert full[:k] == tuple(tuple(v) for v in vs)
-            assert abs(lattice.determinant(full)) == 1
-        else:
-            assert full is None
+        want = minor_gcd_extends(vs)
+        assert lattice.extends_to_basis(vs) == want
+        extending += want
+    assert 20 < extending < 80
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +447,11 @@ def test_quasitorus_kernel_golden():
         pres = lattice.quasitorus_kernel(q, lift)
         assert pres.free_rank == 3
         assert pres.torsion == (3,)
-        assert not pres.is_connected()
-        assert pres.order() is None
 
 
 def test_quasitorus_order():
     # Z/2 + Z/3 collapses to the single invariant factor 6
     q = lattice.LatticeQuotient(2, ((2, 0), (0, 3)))
-    pres = q.presentation()
-    assert pres.free_rank == 0
-    assert pres.torsion == (6,)
-    assert pres.order() == 6
-    assert lattice.LatticeQuotient(1, ()).presentation().order() is None
+    assert q.free_rank == 0
+    assert q.torsion == (6,)
+    assert lattice.LatticeQuotient(1, ()).free_rank == 1
