@@ -2,12 +2,11 @@
 
 A cone is stored by its canonical ray list: primitive, irredundant, sorted
 lexicographically. Duality runs through a double description pass, and
-the yes/no face questions are read off its cached output by exact rank
-tests: pointedness, two-face adjacency on a pointed cone, and the dual and
-its faces as cones. An exact Fourier-Motzkin core over Fractions answers
-the rest, where the point it finds is the answer: redundancy removal in
-``make_cone``, the two-face functional that partner roots walk along, and
-adjacency on a cone that is not pointed.
+the face questions are read off its cached output: pointedness and the
+dual and its faces as cones by exact rank tests, two-face adjacency and
+the functional that partner roots walk along by summing the dual
+generators on a face. An exact Fourier-Motzkin core over Fractions serves
+only the redundancy removal of ``make_cone``.
 The box scan ``lattice_points``, behind root enumeration, local slices and
 Hilbert bases, pairs rows the same way, over the integers, to eliminate
 its last coordinate exactly. There is no floating point anywhere and no
@@ -30,6 +29,7 @@ from .errors import RefusalError
 from .lattice import (
     LatticeMatrix,
     LatticeVector,
+    extends_to_basis,
     is_zero_vector,
     matrix_rank,
     pairing,
@@ -160,13 +160,6 @@ def feasible_point(nvars: int, eqs, ineqs):
     for pr, pc in pivots:
         point[pc] = (work[pr][nvars] - sum(work[pr][j] * point[j] for j in free)) * inv_d
     return tuple(point)
-
-
-def _integer_point(point):
-    if point is None:
-        return None
-    scale = lcm(*(p.denominator for p in point)) if point else 1
-    return tuple(int(p * scale) for p in point)
 
 
 # ---------------------------------------------------------------------------
@@ -334,33 +327,31 @@ def _ray_pair(cone: Cone, v, vp):
 
 
 def two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
-    """Integer functional vanishing exactly on the face spanned by v and vp.
+    """Integer functional zero on v and vp and at least 1 on every other
+    ray, or None; it exists iff the two rays span a common two-face.
 
-    Exists iff the two rays span a common two-dimensional face; the
-    functional is zero on both and at least 1 on every other ray. Returns
-    None when the rays are not adjacent.
+    The dual generators that vanish on both rays generate the face of the
+    dual orthogonal to them, and their plain sum lies in its relative
+    interior (Fukuda-Prodon, *Double description method revisited*, 1996).
+    So some functional of the dual is positive on every other ray iff this
+    sum is, and the sum is returned. On a pointed cone the dual generators
+    are its canonical dual rays, so the cone alone defines the functional.
+    There is no Fourier-Motzkin solve: that serves only ``make_cone``.
     """
     v, vp = _ray_pair(cone, v, vp)
-    eqs = [(list(v), 0), (list(vp), 0)]
-    ineqs = [(list(r), 1) for r in cone.rays if r not in (v, vp)]
-    return _integer_point(feasible_point(cone.rank, eqs, ineqs))
+    shared = [d for d in dual_cone(cone).generators
+              if pairing(d, v) == 0 and pairing(d, vp) == 0]
+    omega = tuple(sum(d[i] for d in shared) for i in range(cone.rank))
+    if all(pairing(omega, r) > 0 for r in cone.rays if r not in (v, vp)):
+        return omega
+    return None
 
 
 def two_face_adjacent(cone: Cone, v: LatticeVector, vp: LatticeVector) -> bool:
-    """Whether the rays v and vp span a common two-dimensional face.
-
-    On a pointed cone this is the algebraic test of Fukuda-Prodon (1996):
-    the dual generators vanishing on both rays cut out the smallest face
-    holding them, of dimension rank minus their rank, and that face must be
-    two-dimensional. A cone with lines has no such face structure, so there
-    the answer is whether ``two_face_functional`` exists.
-    """
-    v, vp = _ray_pair(cone, v, vp)
-    if not is_pointed(cone):
-        return two_face_functional(cone, v, vp) is not None
-    shared = [d for d in dual_cone(cone).generators
-              if pairing(d, v) == 0 and pairing(d, vp) == 0]
-    return cone.rank - matrix_rank(shared) == 2
+    """Whether the rays v and vp span a common two-dimensional face: whether
+    ``two_face_functional`` exists, read off the cached double description
+    on every cone, pointed or not, with no Fourier-Motzkin solve."""
+    return two_face_functional(cone, v, vp) is not None
 
 
 def adjacency_set(cone: Cone, v: LatticeVector) -> LatticeMatrix:
@@ -369,8 +360,6 @@ def adjacency_set(cone: Cone, v: LatticeVector) -> LatticeMatrix:
     Both conditions together are what the commuting-pair construction needs,
     so this is the neighbour set every maximality question ranges over.
     """
-    from .lattice import extends_to_basis
-
     v = tuple(v)
     if v not in cone.rays:
         raise ValueError("argument must be a ray of the cone")

@@ -155,21 +155,15 @@ def _partner_root(cone: Cone, vp: LatticeVector, v: LatticeVector,
                   cap: int = 1000) -> DemazureRoot:
     """A root on the ray vp that annihilates v.
 
-    Starts from the dual pair and walks along the two-face functional until
-    every other ray pairs nonnegatively; k grows from 0, so the first hit
-    is the minimal one.
+    The caller passes a neighbour pair: two-face adjacent and basis
+    extending. Starts from the dual pair and walks along the two-face
+    functional until every other ray pairs nonnegatively; k grows from 0,
+    so the first hit is the minimal one.
     """
     pair = solve_dual_pair(vp, v)
-    if pair is None:
-        raise RefusalError(
-            "ray pair does not extend to a basis",
-            witness={"rays": [list(vp), list(v)]})
-    base = pair[0]  # pairs -1 with vp, 0 with v
     omega = two_face_functional(cone, vp, v)
-    if omega is None:
-        raise RefusalError(
-            "rays do not span a common two-face",
-            witness={"rays": [list(vp), list(v)]})
+    assert pair is not None and omega is not None, "not a neighbour pair"
+    base = pair[0]  # pairs -1 with vp, 0 with v
     for k in range(cap + 1):
         e = vec_add(base, vec_scale(k, omega))
         root = is_demazure_root(cone, e)

@@ -27,6 +27,15 @@ def cone_member(cone: Cone, x: LatticeVector) -> bool:
     return all(pairing(x, d) >= 0 for d in dual_cone(cone).generators)
 
 
+def _integer_point(nvars, eqs, ineqs):
+    """A Fourier-Motzkin solution cleared of denominators, or None."""
+    point = feasible_point(nvars, eqs, ineqs)
+    if point is None:
+        return None
+    scale = lcm(*(p.denominator for p in point))
+    return tuple(int(p * scale) for p in point)
+
+
 def positive_functional(cone: Cone):
     """Integer m with <m, ray> >= 1 for every ray, or None if not pointed.
 
@@ -35,11 +44,15 @@ def positive_functional(cone: Cone):
     """
     if not cone.rays:
         return (0,) * cone.rank
-    point = feasible_point(cone.rank, [], [(list(r), 1) for r in cone.rays])
-    if point is None:
-        return None
-    scale = lcm(*(p.denominator for p in point))
-    return tuple(int(p * scale) for p in point)
+    return _integer_point(cone.rank, [], [(list(r), 1) for r in cone.rays])
+
+
+def fm_two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
+    """Integer m with <m, v> = <m, vp> = 0 and <m, ray> >= 1 for every other
+    ray, or None; solved by Fourier-Motzkin, with no double description."""
+    eqs = [(list(v), 0), (list(vp), 0)]
+    ineqs = [(list(r), 1) for r in cone.rays if r not in (v, vp)]
+    return _integer_point(cone.rank, eqs, ineqs)
 
 
 # ---------------------------------------------------------------------------

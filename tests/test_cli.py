@@ -168,6 +168,39 @@ def test_cone_lineality_refusal_pinned(invoke):
         '}\n')
 
 
+SUM_WALK4_JSON = ('{"rank": 4, "rays": [[-1,0,1,1],[0,-1,1,0],'
+                  '[0,1,-1,-1],[1,2,-1,-1]]}')
+
+
+def test_cone_maximal_witness_golden(invoke):
+    # the partner walks along the sum of the dual generators vanishing on
+    # both rays, which pins this witness; a walk along the Fourier-Motzkin
+    # functional ends at (1, 0, 3, -2) instead
+    code, out, err = invoke(["cone", "maximal", "--root", "2,1,2,-1",
+                             "--format", "text"], SUM_WALK4_JSON)
+    assert code == 0 and err == ""
+    assert out == ("maximal: false\n"
+                   "neighbours:\n"
+                   "  - [0, -1, 1, 0]\n"
+                   "  - [0, 1, -1, -1]\n"
+                   "root:\n"
+                   "  ray: [-1, 0, 1, 1]\n"
+                   "  ray_index: 0\n"
+                   "  vector: [2, 1, 2, -1]\n"
+                   "witness:\n"
+                   "  ray: [0, 1, -1, -1]\n"
+                   "  ray_index: 2\n"
+                   "  vector: [1, 0, 2, -1]\n")
+    # replayed: a root on a neighbour ray, commuting and inequivalent
+    code, out, err = invoke(["cone", "commute", "--root", "2,1,2,-1",
+                             "--root", "1,0,2,-1"], SUM_WALK4_JSON)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["commute"] and data["criterion"] and data["symbolic"]
+    assert data["equivalent"] is False
+    assert data["roots"][1]["ray"] == [0, 1, -1, -1]
+
+
 FLAT4_JSON = ('{"rank": 4, "rays": [[-1,-1,-2,1],[-1,0,-1,-1],'
               '[1,-2,1,1],[1,-2,2,-1]]}')
 

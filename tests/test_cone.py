@@ -8,7 +8,7 @@ import pytest
 from lndkit import cone as C
 from lndkit import lattice
 from lndkit.errors import RefusalError
-from oracles import cone_member, positive_functional
+from oracles import cone_member, fm_two_face_functional, positive_functional
 
 SQUARE = C.make_cone(3, [(0, 0, 1), (2, 0, 1), (0, 1, 1), (1, 1, 1)])
 SQUARE_DUAL_GENS = ((-1, -1, 2), (0, -1, 1), (0, 1, 0), (1, 0, 0))
@@ -436,6 +436,14 @@ def test_square_adjacency_set_golden():
     assert C.adjacency_set(SQUARE, d) == (c, b)
 
 
+def assert_two_face_contract(c, v, vp, omega):
+    assert lattice.pairing(omega, v) == 0
+    assert lattice.pairing(omega, vp) == 0
+    for r in c.rays:
+        if r not in (v, vp):
+            assert lattice.pairing(omega, r) >= 1
+
+
 def test_two_face_functional_contract():
     rng = random.Random(11)
     seen_adjacent = 0
@@ -447,12 +455,19 @@ def test_two_face_functional_contract():
             assert (omega is not None) == adjacency_by_incidence(c, v, vp)
             if omega is not None:
                 seen_adjacent += 1
-                assert lattice.pairing(omega, v) == 0
-                assert lattice.pairing(omega, vp) == 0
-                for r in c.rays:
-                    if r not in (v, vp):
-                        assert lattice.pairing(omega, r) >= 1
+                assert_two_face_contract(c, v, vp, omega)
     assert seen_adjacent > 20
+    # cones with lines: the same contract wherever the functional exists
+    seen_lines = 0
+    for c in sweep_cones(41, 200):
+        if C.is_pointed(c):
+            continue
+        for v, vp in combinations(c.rays, 2):
+            omega = C.two_face_functional(c, v, vp)
+            if omega is not None:
+                seen_lines += 1
+                assert_two_face_contract(c, v, vp, omega)
+    assert seen_lines > 10
 
 
 def test_two_face_adjacent_matches_fourier_motzkin_sweep():
@@ -462,7 +477,7 @@ def test_two_face_adjacent_matches_fourier_motzkin_sweep():
         for v, vp in combinations(c.rays, 2):
             adjacent = C.two_face_adjacent(c, v, vp)
             assert adjacent == C.two_face_adjacent(c, vp, v)
-            assert adjacent == (C.two_face_functional(c, v, vp) is not None)
+            assert adjacent == (fm_two_face_functional(c, v, vp) is not None)
             if pointed:
                 assert adjacent == adjacency_by_incidence(c, v, vp)
             key = (adjacent, pointed, lattice.matrix_rank(c.rays) == c.rank)
@@ -482,6 +497,7 @@ def test_two_face_adjacent_on_a_line_keeps_the_functional_answer():
     line = C.make_cone(2, [(0, 1), (0, -1)])
     assert C.two_face_adjacent(line, (0, -1), (0, 1))
     assert C.two_face_functional(line, (0, -1), (0, 1)) == (0, 0)
+    assert fm_two_face_functional(line, (0, -1), (0, 1)) == (0, 0)
 
 
 def test_two_rays_span_their_own_face():

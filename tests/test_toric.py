@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import pytest
 
+from lndkit import cone as cone_module
 from lndkit.algebra import MonomialShiftDerivation, Polynomial, commutator_vanishes_on
 from lndkit.cone import Cone, adjacency_set, dual_cone, hilbert_basis, is_pointed, make_cone
 from lndkit.errors import RefusalError, SearchBoundExceeded
@@ -411,6 +412,33 @@ def test_maximality_against_bounded_search():
                 assert not roots_equivalent(root, w) and lnds_commute(root, w)
             checked += 1
     assert checked >= 10
+
+
+def test_maximality_and_commuting_pairs_run_no_fourier_motzkin(monkeypatch):
+    # adjacency and the partner walk read the cached double description;
+    # Fourier-Motzkin serves make_cone alone, which runs before the patch
+    rng = random.Random(23)
+    cones = [SQUARE, ORTHANT2, ORTHANT3]
+    cones += [random_cone(rng, rng.choice([2, 3, 4])) for _ in range(15)]
+
+    def no_fourier_motzkin(*args):
+        raise AssertionError("Fourier-Motzkin ran")
+
+    monkeypatch.setattr(cone_module, "feasible_point", no_fourier_motzkin)
+    non_maximal = built = 0
+    for cone in cones:
+        for root in enumerate_roots(cone, 2):
+            verdict = is_maximal(cone, root)
+            if not verdict.maximal:
+                non_maximal += 1
+                assert lnds_commute(root, verdict.witness)
+        try:
+            a, b = construct_commuting_pair(cone)
+        except RefusalError:
+            continue
+        assert lnds_commute(a, b) and not roots_equivalent(a, b)
+        built += 1
+    assert non_maximal > 10 and built > 5
 
 
 # ---------------------------------------------------------------------------
