@@ -7,7 +7,7 @@ treated as immutable. Row vectors live in the character lattice M, columns
 in the cocharacter lattice N, and ``pairing`` is the evaluation between them.
 
 There are two eliminations. ``row_reduce`` is a fraction-free echelon form,
-read for rank, determinant, rational inverse and kernel vectors;
+read for rank, determinant, integer adjugates and kernel vectors;
 ``smith_normal_form`` gives invariant factors, the basis-extension test, dual pairs
 and the canonical class labels of ``LatticeQuotient``.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 LatticeVector = tuple[int, ...]
@@ -140,19 +139,6 @@ def determinant(a: LatticeMatrix) -> int:
 def matrix_rank(a) -> int:
     """Rank over Q."""
     return len(row_reduce(a)[1])
-
-
-def rational_inverse(a: LatticeMatrix):
-    """Inverse of a over Q as Fraction rows, or None when singular."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("rational_inverse needs a square matrix")
-    # [a | I] reduces to d [I | a^-1] exactly when a is invertible
-    rows, pivots, d = row_reduce([tuple(row) + tuple(int(i == j) for j in range(n))
-                                  for i, row in enumerate(a)])
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from .lattice import (
     mat_vec,
     pairing,
     quasitorus_kernel,
-    rational_inverse,
     row_reduce,
     solve_dual_pair,
     transpose,
@@ -299,7 +298,9 @@ def isotropy_torus(cone: Cone, root: DemazureRoot) -> QuasitorusPresentation:
 @dataclass(frozen=True)
 class SemigroupSymmetries:
     """Lattice automorphisms preserving the semigroup, the root, and the
-    level function. ``matrices`` act on row vectors: m -> m G."""
+    level function. ``matrices`` act on row vectors: m -> m G. ``basis``
+    is the dual Hilbert basis, which every symmetry permutes; it is
+    reported, not searched."""
 
     order: int
     matrices: tuple
@@ -309,54 +310,63 @@ class SemigroupSymmetries:
 def s_delta(cone: Cone, root: DemazureRoot, perm_cap: int = 40320) -> SemigroupSymmetries:
     """Finite symmetry factor of the isotropy group.
 
-    Candidates are permutations of the dual Hilbert basis respecting the
-    level classes; each is solved to a linear map and kept when it is
-    integral, unimodular, fixes the root, fixes the ray, and maps the
-    basis onto itself.
+    A lattice automorphism m -> m G preserves the semigroup of the dual
+    cone iff v -> G v preserves the cone, and then it permutes the
+    primitive rays; automorphisms act through the fan this way (Cox, *The
+    homogeneous coordinate ring of a toric variety*, 1995). Fixing the
+    root e gives <e, G v> = <e G, v> = <e, v>, so a ray moves only within
+    its class of equal pairing with e, and the root's ray, alone at -1,
+    stays fixed. Those permutations are the candidates, prod (class size)!
+    of them, refused over ``perm_cap``.
+
+    Each candidate is solved over the integers on a spanning set S of
+    rays: with R_S the rays of S as rows and d R_S^-1 the integer adjugate
+    block of one elimination, d G^T = (d R_S^-1)(images of S) must be
+    divisible by d. A solution is kept when it maps every ray to its
+    image, fixes the root, is unimodular and permutes the dual Hilbert
+    basis.
     """
     _require_pointed(cone)
     hb = hilbert_basis(dual_as_cone(cone))
     assert hb.complete
-    elems = hb.elements
+    basis = set(hb.elements)
+    rays = cone.rays
     n = cone.rank
     levels = {}
-    for idx, h in enumerate(elems):
-        levels.setdefault(pairing(h, root.ray), []).append(idx)
+    for idx, v in enumerate(rays):
+        levels.setdefault(pairing(root.vector, v), []).append(idx)
     classes = [tuple(ix) for _, ix in sorted(levels.items())]
     if prod(factorial(len(c)) for c in classes) > perm_cap:
         raise SearchBoundExceeded(
-            "too many level-preserving permutation candidates", cap=perm_cap)
+            "too many level-preserving ray permutations", cap=perm_cap)
 
-    # spanning subset of the basis, greedily by rank: the pivot columns of
-    # the basis elements written as columns
-    span = row_reduce(transpose(elems))[1]
-    assert len(span) == n, "dual Hilbert basis must span"
-    span_matrix = tuple(elems[i] for i in span)
-    inv = rational_inverse(span_matrix)
+    # the pivot columns of the rays written as columns span N, since a
+    # cone whose dual has a Hilbert basis is full-dimensional; [R_S | I]
+    # reduces to d [I | R_S^-1]
+    span = row_reduce(transpose(rays))[1]
+    assert len(span) == n
+    reduced, pivots, d = row_reduce([rays[i] + tuple(int(i == j) for j in span)
+                                     for i in span])
+    assert pivots == list(range(n))
+    adjugate = [row[n:] for row in reduced]
 
     found = []
     for parts in product(*(permutations(c) for c in classes)):
-        mapping = {}
+        image = {}
         for orig, permuted in zip(classes, parts):
-            for a, b in zip(orig, permuted):
-                mapping[a] = b
-        g = mat_mul(inv, tuple(elems[mapping[i]] for i in span))
-        if any(x.denominator != 1 for row in g for x in row):
+            image.update(zip(orig, permuted))
+        scaled = mat_mul(adjugate, tuple(rays[image[i]] for i in span))
+        if any(x % d for row in scaled for x in row):
             continue
-        g = tuple(tuple(int(x) for x in row) for row in g)
-        if abs(determinant(g)) != 1:
-            continue
-        if vec_mat(root.vector, g) != root.vector:
-            continue
-        if mat_vec(g, root.ray) != root.ray:
-            continue
-        if any(vec_mat(elems[a], g) != elems[mapping[a]]
-               for a in range(len(elems))):
-            continue
-        found.append(g)
+        g = transpose(tuple(tuple(x // d for x in row) for row in scaled))
+        if all(mat_vec(g, v) == rays[image[i]] for i, v in enumerate(rays)) \
+                and vec_mat(root.vector, g) == root.vector \
+                and abs(determinant(g)) == 1 \
+                and all(vec_mat(h, g) in basis for h in hb.elements):
+            found.append(g)
     found.sort()
     return SemigroupSymmetries(order=len(found), matrices=tuple(found),
-                               basis=elems)
+                               basis=hb.elements)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,27 @@ both and compare.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import permutations, product
+from math import factorial, lcm, prod
 
 from lndkit.algebra import ParamPoly, Polynomial
-from lndkit.cone import Cone, dual_cone, feasible_point
+from lndkit.cone import Cone, dual_as_cone, dual_cone, feasible_point, hilbert_basis
 from lndkit.errors import RefusalError, SearchBoundExceeded
-from lndkit.lattice import LatticeVector, pairing, vec_add, vec_scale, vec_sub
-from lndkit.toric import DemazureRoot, find_local_slice
+from lndkit.lattice import (
+    LatticeMatrix,
+    LatticeVector,
+    determinant,
+    mat_mul,
+    mat_vec,
+    pairing,
+    row_reduce,
+    transpose,
+    vec_add,
+    vec_mat,
+    vec_scale,
+    vec_sub,
+)
+from lndkit.toric import DemazureRoot, SemigroupSymmetries, find_local_slice
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +196,58 @@ def express_in_slice(cone: Cone, root: DemazureRoot, m,
                                    twist=twist, kernel_weight=k)
     raise SearchBoundExceeded("no kernel twist rewrites the character "
                               "inside the cap", cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# toric symmetries
+
+
+def rational_inverse(a: LatticeMatrix):
+    """Inverse of a over Q as Fraction rows, or None when singular."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("rational_inverse needs a square matrix")
+    # [a | I] reduces to d [I | a^-1] exactly when a is invertible
+    rows, pivots, d = row_reduce([tuple(row) + tuple(int(i == j) for j in range(n))
+                                  for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows)
+
+
+def level_class_symmetries(cone: Cone, root: DemazureRoot,
+                           perm_cap: int = 40320) -> SemigroupSymmetries:
+    """The finite symmetry factor by permuting the dual Hilbert basis.
+
+    Candidates are permutations of the basis within its level classes
+    against the root's ray, Π (class size)! of them, refused over
+    ``perm_cap``. Each is solved to a linear map over Q on a spanning
+    subset and kept when it is integral, unimodular, fixes the root and
+    the ray, and maps the basis onto itself.
+    """
+    elems = hilbert_basis(dual_as_cone(cone)).elements
+    levels = {}
+    for idx, h in enumerate(elems):
+        levels.setdefault(pairing(h, root.ray), []).append(idx)
+    classes = [tuple(ix) for _, ix in sorted(levels.items())]
+    if prod(factorial(len(c)) for c in classes) > perm_cap:
+        raise SearchBoundExceeded(
+            "too many level-preserving permutation candidates", cap=perm_cap)
+    span = row_reduce(transpose(elems))[1]
+    inv = rational_inverse(tuple(elems[i] for i in span))
+    found = []
+    for parts in product(*(permutations(c) for c in classes)):
+        mapping = {a: b for orig, permuted in zip(classes, parts)
+                   for a, b in zip(orig, permuted)}
+        g = mat_mul(inv, tuple(elems[mapping[i]] for i in span))
+        if any(x.denominator != 1 for row in g for x in row):
+            continue
+        g = tuple(tuple(int(x) for x in row) for row in g)
+        if abs(determinant(g)) == 1 and vec_mat(root.vector, g) == root.vector \
+                and mat_vec(g, root.ray) == root.ray \
+                and all(vec_mat(elems[a], g) == elems[mapping[a]]
+                        for a in range(len(elems))):
+            found.append(g)
+    found.sort()
+    return SemigroupSymmetries(order=len(found), matrices=tuple(found),
+                               basis=elems)

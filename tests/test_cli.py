@@ -150,6 +150,115 @@ def test_cone_isotropy_partial_kernel_refused(invoke):
     assert data["refused"] is True and data["cap"] == 0
 
 
+ORTHANT3_JSON = '{"rank": 3, "rays": [[1,0,0],[0,1,0],[0,0,1]]}'
+ORTHANT4_JSON = ('{"rank": 4, "rays": [[1,0,0,0],[0,1,0,0],[0,0,1,0],'
+                 '[0,0,0,1]]}')
+
+
+def test_cone_isotropy_orthant3_text_golden(invoke):
+    # the symmetries fixing e1 swap e2 and e3
+    code, out, err = invoke(["cone", "isotropy", "--root", "-1,0,0",
+                             "--format", "text"], ORTHANT3_JSON)
+    assert code == 0 and err == ""
+    assert out == ("kernel_generators:\n"
+                   "  - [0, 0, 1]\n"
+                   "  - [0, 1, 0]\n"
+                   "maximal: false\n"
+                   "root:\n"
+                   "  ray: [1, 0, 0]\n"
+                   "  ray_index: 2\n"
+                   "  vector: [-1, 0, 0]\n"
+                   "slice: [1, 0, 0]\n"
+                   "symmetry_matrices:\n"
+                   "  -\n"
+                   "    - [1, 0, 0]\n"
+                   "    - [0, 0, 1]\n"
+                   "    - [0, 1, 0]\n"
+                   "  -\n"
+                   "    - [1, 0, 0]\n"
+                   "    - [0, 1, 0]\n"
+                   "    - [0, 0, 1]\n"
+                   "symmetry_order: 2\n"
+                   "torus:\n"
+                   "  rank: 2\n"
+                   "  torsion: []\n"
+                   "witness:\n"
+                   "  ray: [0, 0, 1]\n"
+                   "  ray_index: 0\n"
+                   "  vector: [0, 0, -1]\n")
+
+
+def test_cone_isotropy_orthant4_text_golden(invoke):
+    # the symmetries fixing e1 permute e2, e3 and e4: all 3! of them
+    code, out, err = invoke(["cone", "isotropy", "--root", "-1,0,0,0",
+                             "--format", "text"], ORTHANT4_JSON)
+    assert code == 0 and err == ""
+    assert out == ("kernel_generators:\n"
+                   "  - [0, 0, 0, 1]\n"
+                   "  - [0, 0, 1, 0]\n"
+                   "  - [0, 1, 0, 0]\n"
+                   "maximal: false\n"
+                   "root:\n"
+                   "  ray: [1, 0, 0, 0]\n"
+                   "  ray_index: 3\n"
+                   "  vector: [-1, 0, 0, 0]\n"
+                   "slice: [1, 0, 0, 0]\n"
+                   "symmetry_matrices:\n"
+                   "  -\n"
+                   "    - [1, 0, 0, 0]\n"
+                   "    - [0, 0, 0, 1]\n"
+                   "    - [0, 0, 1, 0]\n"
+                   "    - [0, 1, 0, 0]\n"
+                   "  -\n"
+                   "    - [1, 0, 0, 0]\n"
+                   "    - [0, 0, 0, 1]\n"
+                   "    - [0, 1, 0, 0]\n"
+                   "    - [0, 0, 1, 0]\n"
+                   "  -\n"
+                   "    - [1, 0, 0, 0]\n"
+                   "    - [0, 0, 1, 0]\n"
+                   "    - [0, 0, 0, 1]\n"
+                   "    - [0, 1, 0, 0]\n"
+                   "  -\n"
+                   "    - [1, 0, 0, 0]\n"
+                   "    - [0, 0, 1, 0]\n"
+                   "    - [0, 1, 0, 0]\n"
+                   "    - [0, 0, 0, 1]\n"
+                   "  -\n"
+                   "    - [1, 0, 0, 0]\n"
+                   "    - [0, 1, 0, 0]\n"
+                   "    - [0, 0, 0, 1]\n"
+                   "    - [0, 0, 1, 0]\n"
+                   "  -\n"
+                   "    - [1, 0, 0, 0]\n"
+                   "    - [0, 1, 0, 0]\n"
+                   "    - [0, 0, 1, 0]\n"
+                   "    - [0, 0, 0, 1]\n"
+                   "symmetry_order: 6\n"
+                   "torus:\n"
+                   "  rank: 3\n"
+                   "  torsion: []\n"
+                   "witness:\n"
+                   "  ray: [0, 0, 0, 1]\n"
+                   "  ray_index: 0\n"
+                   "  vector: [0, 0, 0, -1]\n")
+
+
+def test_cone_isotropy_answers_where_the_basis_search_hit_its_cap(invoke):
+    # the 16 dual Hilbert basis elements fall into level classes of sizes
+    # 8, 5, 2 and 1 against the ray (1, 0, -2): 8! 5! 2! basis permutations,
+    # far over the cap of 40320. The three rays pair -1, 2 and 1 with the
+    # root, so the one ray permutation to try is the identity.
+    cone = '{"rank": 3, "rays": [[1,0,-2],[2,-1,-2],[2,1,1]]}'
+    code, out, err = invoke(["cone", "isotropy", "--root", "1,-2,1"], cone)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["symmetry_order"] == 1
+    assert data["symmetry_matrices"] == [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    assert data["root"] == {"ray": [1, 0, -2], "ray_index": 0,
+                            "vector": [1, -2, 1]}
+
+
 def test_cone_lineality_refusal_pinned(invoke):
     code, out, err = invoke(["cone", "maximal", "--root", "0,1"],
                             '{"rank": 2, "rays": [[1, 0], [-1, 0]]}')

@@ -32,7 +32,7 @@ from lndkit.toric import (
     symbolic_commute_check,
     toric_isotropy_report,
 )
-from oracles import express_in_slice
+from oracles import express_in_slice, level_class_symmetries, rational_inverse
 
 # rays in canonical (lex) order: index 0 is the distinguished ray of the
 # worked example root below
@@ -109,7 +109,7 @@ def brute_symmetries(cone, root):
     from fractions import Fraction
     from itertools import permutations
 
-    from lndkit.lattice import determinant, rational_inverse
+    from lndkit.lattice import determinant
 
     hb = hilbert_basis(make_cone(cone.rank, dual_cone(cone).generators))
     elems = hb.elements
@@ -153,11 +153,12 @@ def brute_symmetries(cone, root):
     return out
 
 
-def random_cone(rng, rank, tries=200):
-    """Full-dimensional pointed cone with small ray entries."""
+def random_cone(rng, rank, tries=200, entry=2):
+    """Full-dimensional pointed cone with ray entries in [-entry, entry]."""
     for _ in range(tries):
         k = rng.randrange(rank, rank + 3)
-        rays = [tuple(rng.randrange(-2, 3) for _ in range(rank)) for _ in range(k)]
+        rays = [tuple(rng.randrange(-entry, entry + 1) for _ in range(rank))
+                for _ in range(k)]
         rays = [r for r in rays if any(r)]
         if len(rays) < rank:
             continue
@@ -604,8 +605,9 @@ def test_symmetries_match_brute_permutation_route():
 
 
 def test_symmetries_permutation_cap_counts_candidates():
-    # levels against e1: {e1} and {e2, e3, e4}, so 1! * 3! = 6 candidates,
-    # and every one of them is a symmetry
+    # the rays pair with the root -1 (e1) and 0 (e2, e3, e4), so the classes
+    # {e1} and {e2, e3, e4} allow 1! * 3! = 6 ray permutations, and every
+    # one of them is a symmetry
     orthant4 = make_cone(4, [tuple(int(i == j) for j in range(4))
                              for i in range(4)])
     root = require_root(orthant4, (-1, 0, 0, 0))
@@ -613,6 +615,28 @@ def test_symmetries_permutation_cap_counts_candidates():
     with pytest.raises(SearchBoundExceeded) as exc:
         s_delta(orthant4, root, perm_cap=5)
     assert exc.value.cap == 5
+
+
+def test_symmetries_match_level_class_search_sweep():
+    # entries in [-1, 1] give cones with many symmetries; roots where the
+    # basis search would try more than 720 permutations are skipped
+    rng = random.Random(4)
+    orders = {}
+    compared = 0
+    for i in range(12):
+        cone = random_cone(rng, 2 + i % 3, entry=1)
+        for root in enumerate_roots(cone, 2):
+            try:
+                ref = level_class_symmetries(cone, root, perm_cap=720)
+            except SearchBoundExceeded:
+                continue
+            sym = s_delta(cone, root)
+            assert (sym.order, sym.matrices, sym.basis) == \
+                (ref.order, ref.matrices, ref.basis)
+            orders[sym.order] = orders.get(sym.order, 0) + 1
+            compared += 1
+    assert compared > 200
+    assert {1, 2, 6} <= set(orders)
 
 
 def test_symmetries_form_a_group():
