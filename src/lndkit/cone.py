@@ -1,12 +1,13 @@
 """Rational polyhedral cones, exactly.
 
-A cone is stored by its canonical ray list: primitive, irredundant, sorted
-lexicographically. Duality runs through a double description pass, and
-the face questions are read off its cached output: pointedness and the
-dual and its faces as cones by exact rank tests, two-face adjacency and
-the functional that partner roots walk along by summing the dual
-generators on a face. An exact Fourier-Motzkin core over Fractions serves
-only the redundancy removal of ``make_cone``.
+A cone is stored by its generators: primitive, lex-sorted, and irredundant,
+i.e. its canonical ray list, when the cone is pointed. One polyhedral
+algorithm serves every question: a double description pass that carries
+the lineality space of the dual explicitly (Fukuda-Prodon, *Double
+description method revisited*, 1996). Its cached output decides the rays
+that ``make_cone`` keeps, pointedness, the dual and its faces as cones by
+exact rank tests, two-face adjacency and the functional that partner roots
+walk along, by summing the dual generators on a face.
 The box scan ``lattice_points``, behind root enumeration, local slices and
 Hilbert bases, pairs rows the same way, over the integers, to eliminate
 its last coordinate exactly. There is no floating point anywhere and no
@@ -20,9 +21,7 @@ for large instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from operator import mul, sub
 
 from .errors import RefusalError
@@ -39,136 +38,13 @@ from .lattice import (
 
 
 # ---------------------------------------------------------------------------
-# exact linear feasibility
-
-
-def _normalize_ineq(coeffs, rhs):
-    # scale rows by the positive content so duplicates collapse
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c.numerator)
-    g = gcd(g, rhs.numerator)
-    denom = lcm(*(c.denominator for c in coeffs), rhs.denominator) if coeffs else rhs.denominator
-    if g == 0 and rhs == 0:
-        return None
-    scale = Fraction(denom, g) if g else Fraction(denom)
-    return tuple(c * scale for c in coeffs), rhs * scale
-
-
-def feasible_point(nvars: int, eqs, ineqs):
-    """A rational point satisfying all constraints, or None.
-
-    ``eqs`` rows mean coeffs . x == rhs, ``ineqs`` rows mean coeffs . x >= rhs.
-    Equalities are removed by Gaussian elimination, the rest by
-    Fourier-Motzkin with back substitution, so the returned point is exact.
-    """
-    # reduced row echelon form of [A | b], each equality first cleared of
-    # denominators: a pivot in the b column means some combination of the
-    # equalities reads 0 == nonzero
-    scaled = []
-    for co, r in eqs:
-        row = [*co, r]
-        s = lcm(*(x.denominator for x in row))
-        scaled.append([int(x * s) for x in row])
-    work, pivot_cols, d = row_reduce(scaled)
-    if nvars in pivot_cols:
-        return None
-    pivots = list(enumerate(pivot_cols))  # (row, col), pivot d, column cleared
-    free = [c for c in range(nvars) if c not in pivot_cols]
-    inv_d = Fraction(1, d)
-
-    # substitute x_c = (rhs_r - sum_{j free} work[r][j] x_j) / d into the
-    # inequalities
-    ineqs2 = []
-    for co, rhs in ineqs:
-        co = [Fraction(c) for c in co]
-        rhs = Fraction(rhs)
-        for pr, pc in pivots:
-            f = co[pc]
-            if f:
-                f *= inv_d
-                co[pc] = Fraction(0)
-                rhs -= f * work[pr][nvars]
-                for j in free:
-                    co[j] -= f * work[pr][j]
-        ineqs2.append((co, rhs))
-    ineqs = ineqs2
-
-    # Fourier-Motzkin over the free variables, last one first
-    stages = []
-    rows = []
-    seen = set()
-    for co, rhs in ineqs:
-        key = _normalize_ineq([co[j] for j in free], rhs)
-        if key is None:
-            continue
-        if any(c != 0 for c in key[0]):
-            if key not in seen:
-                seen.add(key)
-                rows.append((list(co), rhs))
-        else:
-            if rhs > 0:
-                return None
-    for idx in range(len(free) - 1, -1, -1):
-        var = free[idx]
-        lowers, uppers, rest = [], [], []
-        for co, rhs in rows:
-            a = co[var]
-            if a > 0:
-                lowers.append((co, rhs))
-            elif a < 0:
-                uppers.append((co, rhs))
-            else:
-                rest.append((co, rhs))
-        stages.append((var, lowers, uppers))
-        new_rows = rest
-        seen = set()
-        for lco, lrhs in lowers:
-            for uco, urhs in uppers:
-                a, b = lco[var], -uco[var]
-                co = [b * x + a * y for x, y in zip(lco, uco)]
-                rhs = b * lrhs + a * urhs
-                co[var] = Fraction(0)
-                key = _normalize_ineq([co[j] for j in free[:idx]], rhs)
-                if key is None:
-                    continue
-                if all(c == 0 for c in key[0]):
-                    if rhs > 0:
-                        return None
-                    continue
-                if key not in seen:
-                    seen.add(key)
-                    new_rows.append((co, rhs))
-        rows = new_rows
-
-    point = [Fraction(0)] * nvars
-    for var, lowers, uppers in reversed(stages):
-        lo = None
-        for co, rhs in lowers:
-            val = (rhs - sum(co[j] * point[j] for j in range(nvars) if j != var)) / co[var]
-            lo = val if lo is None else max(lo, val)
-        hi = None
-        for co, rhs in uppers:
-            val = (rhs - sum(co[j] * point[j] for j in range(nvars) if j != var)) / co[var]
-            hi = val if hi is None else min(hi, val)
-        if lo is not None:
-            point[var] = lo
-        elif hi is not None:
-            point[var] = hi
-        if lo is not None and hi is not None and lo > hi:
-            raise AssertionError("back substitution left an empty interval")
-    for pr, pc in pivots:
-        point[pc] = (work[pr][nvars] - sum(work[pr][j] * point[j] for j in free)) * inv_d
-    return tuple(point)
-
-
-# ---------------------------------------------------------------------------
 # cones
 
 
 @dataclass(frozen=True)
 class Cone:
-    """Pointed or not; rays are primitive, irredundant, lex-sorted."""
+    """Pointed or not; rays are primitive, lex-sorted, and irredundant
+    when the cone is pointed."""
 
     rank: int
     rays: LatticeMatrix
@@ -190,40 +66,28 @@ class HilbertBasis:
     bound: int
 
 
-def member_of_generators(generators, x: LatticeVector) -> bool:
-    """Is x a nonnegative rational combination of the generators."""
-    gens = [tuple(g) for g in generators]
-    n = len(x)
-    if not gens:
-        return is_zero_vector(x)
-    k = len(gens)
-    eqs = [([gens[i][j] for i in range(k)], x[j]) for j in range(n)]
-    ineqs = [([int(i == t) for i in range(k)], 0) for t in range(k)]
-    return feasible_point(k, eqs, ineqs) is not None
-
-
-def extremal_rays(generators) -> LatticeMatrix:
-    """Irredundant subset of the generators, canonically ordered.
-
-    For a pointed cone this is exactly the set of extremal rays. For a cone
-    with lines it is still a generating set, just without a canonicity claim
-    beyond determinism.
-    """
-    gens = sorted({primitive_part(tuple(g)) for g in generators
-                   if not is_zero_vector(tuple(g))})
-    kept = list(gens)
-    for g in list(gens):
-        others = [h for h in kept if h != g]
-        if member_of_generators(others, g):
-            kept = others
-    return tuple(kept)
-
-
 def make_cone(rank: int, generators) -> Cone:
+    """The cone spanned by the generators, with its canonical ray list.
+
+    The nonzero generators are made primitive, deduplicated and sorted, and
+    the cached double description of that cone decides the rest. A pointed
+    cone has a full-dimensional dual, and a generator spans an extremal ray
+    iff the dual generators vanishing on it have rank ``rank - 1``, i.e.
+    cut out a facet of the dual. A cone with lines keeps every generator:
+    every toric question refuses it, naming a line read off its dual.
+    """
     for g in generators:
         if len(g) != rank:
             raise ValueError("generator length does not match rank")
-    return Cone(rank=rank, rays=extremal_rays(generators))
+    gens = tuple(sorted({primitive_part(tuple(g)) for g in generators
+                         if not is_zero_vector(tuple(g))}))
+    # on a canonical input this is the cache key of the result, so the
+    # later questions on that cone find its dual computed
+    dual = dual_cone(Cone(rank, gens))
+    if dual.dimension == rank:
+        gens = tuple(g for g in gens if matrix_rank(
+            [d for d in dual.generators if pairing(d, g) == 0]) == rank - 1)
+    return Cone(rank, gens)
 
 
 def is_pointed(cone: Cone) -> bool:
@@ -255,47 +119,68 @@ def lineality_witness(cone: Cone):
 
 @lru_cache(maxsize=None)
 def dual_cone(cone: Cone) -> DualCone:
-    """Generators of the dual cone by double description.
+    """Generators of the dual cone by double description with explicit lines.
 
-    Runs one halfspace at a time, combining each positive and negative pair
-    on the separating hyperplane and pruning by the standard rank test, one
-    ``matrix_rank`` (a ``row_reduce``) per candidate. For any input the
-    output generates the dual. For a full-dimensional input it is exactly
-    the extremal ray set of the (then pointed) dual, primitive and sorted:
-    the last pass keeps a candidate iff the rays it vanishes on have rank
-    ``rank - 1``. ``dual_as_cone`` and the kernel face of
-    ``toric.kernel_of_root`` take the output as that ray list unchecked.
-    The rank of the generators is stored with them as ``dimension``, so
+    The dual in progress is kept as a lineality basis plus rays, starting
+    from the unit vectors as lines and no rays (Fukuda-Prodon, *Double
+    description method revisited*, 1996), and the halfspaces of the rays
+    are added one at a time:
+    - when a line l pairs nonzero with the ray r, that line is cut: l,
+      oriented so that a = <l, r> > 0, becomes a ray, and every other line
+      and ray g moves along it onto r's hyperplane as a g - <g, r> l. The
+      result is the old cone cut by the halfspace, and no ray is redundant;
+    - otherwise every line lies on r's hyperplane, the rays pairing
+      nonnegatively with r stay, and each positive and negative pair is
+      combined on the hyperplane, a candidate kept by the standard rank
+      test: the rays processed so far that vanish on it have rank one less
+      than all of them (one ``matrix_rank``, a ``row_reduce``, per
+      candidate).
+    So the lines always span the lineality space of the dual, and the rays
+    are one per extremal ray of the dual modulo it. The output is the rays
+    and both directions of every line, primitive and sorted. A
+    full-dimensional input leaves no line, so the output is exactly the
+    extremal ray set of the (then pointed) dual: ``dual_as_cone`` and the
+    kernel face of ``toric.kernel_of_root`` take it as that ray list
+    unchecked. A lower-dimensional input of dimension k gets n - k lines,
+    so 2 (n - k) generators, plus one ray per facet of the input. The rank
+    of the generators is stored with them as ``dimension``, so
     ``is_pointed`` costs a cache hit and a comparison.
     """
     n = cone.rank
-    gens = set()
-    for i in range(n):
-        e = tuple(int(i == j) for j in range(n))
-        gens.add(e)
-        gens.add(tuple(-x for x in e))
+    lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays: list[LatticeVector] = []
     processed: list[LatticeVector] = []
     for r in sorted(cone.rays):
-        pos = [g for g in gens if pairing(g, r) > 0]
-        neg = [g for g in gens if pairing(g, r) < 0]
-        zero = [g for g in gens if pairing(g, r) == 0]
-        new = set(pos) | set(zero)
+        processed.append(r)
+        cut = next((i for i, l in enumerate(lines) if pairing(l, r)), None)
+        if cut is not None:
+            l = lines.pop(cut)
+            a = pairing(l, r)
+            if a < 0:
+                l, a = tuple(-x for x in l), -a
+
+            def onto_hyperplane(g):
+                b = pairing(g, r)
+                return primitive_part(tuple(a * x - b * y for x, y in zip(g, l)))
+
+            lines = [onto_hyperplane(g) for g in lines]
+            rays = [l] + [onto_hyperplane(g) for g in rays]
+            continue
+        # the processed rays have rank n - len(lines), the codimension of
+        # the lineality space, and r is in their span
+        full_rank = n - len(lines)
+        pos = [g for g in rays if pairing(g, r) > 0]
+        neg = [g for g in rays if pairing(g, r) < 0]
+        rays = [g for g in rays if pairing(g, r) >= 0]
         for p in pos:
             a = pairing(p, r)
             for m in neg:
                 b = pairing(m, r)
-                comb = tuple(a * mi - b * pi for pi, mi in zip(p, m))
-                if not is_zero_vector(comb):
-                    new.add(primitive_part(comb))
-        processed.append(r)
-        full_rank = matrix_rank(processed)
-        kept = set()
-        for g in new:
-            active = [q for q in processed if pairing(g, q) == 0]
-            if matrix_rank(active) >= full_rank - 1:
-                kept.add(g)
-        gens = kept
-    gens = tuple(sorted(gens))
+                comb = primitive_part(tuple(a * mi - b * pi for pi, mi in zip(p, m)))
+                active = [q for q in processed if pairing(comb, q) == 0]
+                if matrix_rank(active) >= full_rank - 1:
+                    rays.append(comb)
+    gens = tuple(sorted({*rays, *lines, *(tuple(-x for x in l) for l in lines)}))
     return DualCone(rank=n, generators=gens, dimension=matrix_rank(gens))
 
 
@@ -334,9 +219,10 @@ def two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
     dual orthogonal to them, and their plain sum lies in its relative
     interior (Fukuda-Prodon, *Double description method revisited*, 1996).
     So some functional of the dual is positive on every other ray iff this
-    sum is, and the sum is returned. On a pointed cone the dual generators
-    are its canonical dual rays, so the cone alone defines the functional.
-    There is no Fourier-Motzkin solve: that serves only ``make_cone``.
+    sum is, and the sum is returned. Both directions of every line of the
+    dual vanish on both rays, so the lines cancel in the sum, and what is
+    left is one representative per dual ray on the face. The dual
+    generators depend on the cone alone, so the cone defines the functional.
     """
     v, vp = _ray_pair(cone, v, vp)
     shared = [d for d in dual_cone(cone).generators
@@ -350,7 +236,7 @@ def two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
 def two_face_adjacent(cone: Cone, v: LatticeVector, vp: LatticeVector) -> bool:
     """Whether the rays v and vp span a common two-dimensional face: whether
     ``two_face_functional`` exists, read off the cached double description
-    on every cone, pointed or not, with no Fourier-Motzkin solve."""
+    on every cone, pointed or not."""
     return two_face_functional(cone, v, vp) is not None
 
 

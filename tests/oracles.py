@@ -8,18 +8,21 @@ both and compare.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from lndkit.algebra import ParamPoly, Polynomial
-from lndkit.cone import Cone, dual_as_cone, dual_cone, feasible_point, hilbert_basis
+from lndkit.cone import Cone, DualCone, dual_as_cone, dual_cone, hilbert_basis
 from lndkit.errors import RefusalError, SearchBoundExceeded
 from lndkit.lattice import (
     LatticeMatrix,
     LatticeVector,
     determinant,
+    is_zero_vector,
     mat_mul,
     mat_vec,
+    matrix_rank,
     pairing,
+    primitive_part,
     row_reduce,
     transpose,
     vec_add,
@@ -32,6 +35,198 @@ from lndkit.toric import DemazureRoot, SemigroupSymmetries, find_local_slice
 
 # ---------------------------------------------------------------------------
 # cones
+
+
+def _normalize_ineq(coeffs, rhs):
+    # scale rows by the positive content so duplicates collapse
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c.numerator)
+    g = gcd(g, rhs.numerator)
+    denom = lcm(*(c.denominator for c in coeffs), rhs.denominator) if coeffs else rhs.denominator
+    if g == 0 and rhs == 0:
+        return None
+    scale = Fraction(denom, g) if g else Fraction(denom)
+    return tuple(c * scale for c in coeffs), rhs * scale
+
+
+def feasible_point(nvars: int, eqs, ineqs):
+    """A rational point satisfying all constraints, or None.
+
+    ``eqs`` rows mean coeffs . x == rhs, ``ineqs`` rows mean coeffs . x >= rhs.
+    Equalities are removed by Gaussian elimination, the rest by
+    Fourier-Motzkin with back substitution, so the returned point is exact.
+    """
+    # reduced row echelon form of [A | b], each equality first cleared of
+    # denominators: a pivot in the b column means some combination of the
+    # equalities reads 0 == nonzero
+    scaled = []
+    for co, r in eqs:
+        row = [*co, r]
+        s = lcm(*(x.denominator for x in row))
+        scaled.append([int(x * s) for x in row])
+    work, pivot_cols, d = row_reduce(scaled)
+    if nvars in pivot_cols:
+        return None
+    pivots = list(enumerate(pivot_cols))  # (row, col), pivot d, column cleared
+    free = [c for c in range(nvars) if c not in pivot_cols]
+    inv_d = Fraction(1, d)
+
+    # substitute x_c = (rhs_r - sum_{j free} work[r][j] x_j) / d into the
+    # inequalities
+    ineqs2 = []
+    for co, rhs in ineqs:
+        co = [Fraction(c) for c in co]
+        rhs = Fraction(rhs)
+        for pr, pc in pivots:
+            f = co[pc]
+            if f:
+                f *= inv_d
+                co[pc] = Fraction(0)
+                rhs -= f * work[pr][nvars]
+                for j in free:
+                    co[j] -= f * work[pr][j]
+        ineqs2.append((co, rhs))
+    ineqs = ineqs2
+
+    # Fourier-Motzkin over the free variables, last one first
+    stages = []
+    rows = []
+    seen = set()
+    for co, rhs in ineqs:
+        key = _normalize_ineq([co[j] for j in free], rhs)
+        if key is None:
+            continue
+        if any(c != 0 for c in key[0]):
+            if key not in seen:
+                seen.add(key)
+                rows.append((list(co), rhs))
+        else:
+            if rhs > 0:
+                return None
+    for idx in range(len(free) - 1, -1, -1):
+        var = free[idx]
+        lowers, uppers, rest = [], [], []
+        for co, rhs in rows:
+            a = co[var]
+            if a > 0:
+                lowers.append((co, rhs))
+            elif a < 0:
+                uppers.append((co, rhs))
+            else:
+                rest.append((co, rhs))
+        stages.append((var, lowers, uppers))
+        new_rows = rest
+        seen = set()
+        for lco, lrhs in lowers:
+            for uco, urhs in uppers:
+                a, b = lco[var], -uco[var]
+                co = [b * x + a * y for x, y in zip(lco, uco)]
+                rhs = b * lrhs + a * urhs
+                co[var] = Fraction(0)
+                key = _normalize_ineq([co[j] for j in free[:idx]], rhs)
+                if key is None:
+                    continue
+                if all(c == 0 for c in key[0]):
+                    if rhs > 0:
+                        return None
+                    continue
+                if key not in seen:
+                    seen.add(key)
+                    new_rows.append((co, rhs))
+        rows = new_rows
+
+    point = [Fraction(0)] * nvars
+    for var, lowers, uppers in reversed(stages):
+        lo = None
+        for co, rhs in lowers:
+            val = (rhs - sum(co[j] * point[j] for j in range(nvars) if j != var)) / co[var]
+            lo = val if lo is None else max(lo, val)
+        hi = None
+        for co, rhs in uppers:
+            val = (rhs - sum(co[j] * point[j] for j in range(nvars) if j != var)) / co[var]
+            hi = val if hi is None else min(hi, val)
+        if lo is not None:
+            point[var] = lo
+        elif hi is not None:
+            point[var] = hi
+        if lo is not None and hi is not None and lo > hi:
+            raise AssertionError("back substitution left an empty interval")
+    for pr, pc in pivots:
+        point[pc] = (work[pr][nvars] - sum(work[pr][j] * point[j] for j in free)) * inv_d
+    return tuple(point)
+
+
+def member_of_generators(generators, x: LatticeVector) -> bool:
+    """Is x a nonnegative rational combination of the generators."""
+    gens = [tuple(g) for g in generators]
+    n = len(x)
+    if not gens:
+        return is_zero_vector(x)
+    k = len(gens)
+    eqs = [([gens[i][j] for i in range(k)], x[j]) for j in range(n)]
+    ineqs = [([int(i == t) for i in range(k)], 0) for t in range(k)]
+    return feasible_point(k, eqs, ineqs) is not None
+
+
+def extremal_rays(generators) -> LatticeMatrix:
+    """Irredundant subset of the generators, canonically ordered, by a
+    greedy Fourier-Motzkin pass: each generator in turn is dropped when the
+    ones still kept generate it.
+
+    For a pointed cone this is exactly the set of extremal rays. For a cone
+    with lines it is still a generating set, just without a canonicity claim
+    beyond determinism.
+    """
+    gens = sorted({primitive_part(tuple(g)) for g in generators
+                   if not is_zero_vector(tuple(g))})
+    kept = list(gens)
+    for g in list(gens):
+        others = [h for h in kept if h != g]
+        if member_of_generators(others, g):
+            kept = others
+    return tuple(kept)
+
+
+def dual_cone_without_lines(cone: Cone) -> DualCone:
+    """The double description seeded with both directions of every unit
+    vector, each candidate pruned by the rank test and none reduced modulo
+    the dual's lines.
+
+    Its output generates the dual; on a full-dimensional input it is the
+    extremal ray set of the dual. On a lower-dimensional input many vectors
+    on one minimal face of the dual can pass the rank test, so it keeps
+    far more generators than the dual needs.
+    """
+    n = cone.rank
+    gens = set()
+    for i in range(n):
+        e = tuple(int(i == j) for j in range(n))
+        gens.add(e)
+        gens.add(tuple(-x for x in e))
+    processed = []
+    for r in sorted(cone.rays):
+        pos = [g for g in gens if pairing(g, r) > 0]
+        neg = [g for g in gens if pairing(g, r) < 0]
+        zero = [g for g in gens if pairing(g, r) == 0]
+        new = set(pos) | set(zero)
+        for p in pos:
+            a = pairing(p, r)
+            for m in neg:
+                b = pairing(m, r)
+                comb = tuple(a * mi - b * pi for pi, mi in zip(p, m))
+                if not is_zero_vector(comb):
+                    new.add(primitive_part(comb))
+        processed.append(r)
+        full_rank = matrix_rank(processed)
+        kept = set()
+        for g in new:
+            active = [q for q in processed if pairing(g, q) == 0]
+            if matrix_rank(active) >= full_rank - 1:
+                kept.add(g)
+        gens = kept
+    gens = tuple(sorted(gens))
+    return DualCone(rank=n, generators=gens, dimension=matrix_rank(gens))
 
 
 def cone_member(cone: Cone, x: LatticeVector) -> bool:

@@ -12,6 +12,9 @@ from time import perf_counter
 import pytest
 
 from lndkit.cli import main
+from lndkit.cone import dual_cone, hilbert_basis, make_cone
+from lndkit.lattice import pairing
+from lndkit.toric import lnds_commute, require_root, roots_equivalent
 
 SQUARE_JSON = '{"rank": 3, "rays": [[0,0,1],[2,0,1],[0,1,1],[1,1,1]]}'
 ORTHANT2_JSON = '{"rank": 2, "rays": [[1,0],[0,1]]}'
@@ -308,6 +311,62 @@ def test_cone_maximal_witness_golden(invoke):
     assert data["commute"] and data["criterion"] and data["symbolic"]
     assert data["equivalent"] is False
     assert data["roots"][1]["ray"] == [0, 1, -1, -1]
+
+
+def test_cone_maximal_witness_on_a_lower_dimensional_cone_golden(invoke):
+    # the dual of this 3-dimensional cone in Z^4 holds a line; both its
+    # directions vanish on the two rays and cancel in the functional the
+    # partner walks along, which pins this witness. The double description
+    # without lines gave the same ray a larger one, (1, -2, -2, -4)
+    cone = '{"rank": 4, "rays": [[1,0,-1,1],[2,-1,-2,0],[0,-2,0,1]]}'
+    code, out, err = invoke(["cone", "maximal", "--root", "-1,0,-2,-1",
+                             "--format", "text"], cone)
+    assert code == 0 and err == ""
+    assert out == ("maximal: false\n"
+                   "neighbours:\n"
+                   "  - [1, 0, -1, 1]\n"
+                   "  - [2, -1, -2, 0]\n"
+                   "root:\n"
+                   "  ray: [0, -2, 0, 1]\n"
+                   "  ray_index: 0\n"
+                   "  vector: [-1, 0, -2, -1]\n"
+                   "witness:\n"
+                   "  ray: [1, 0, -1, 1]\n"
+                   "  ray_index: 1\n"
+                   "  vector: [1, -1, 0, -2]\n")
+    # replayed: `cone commute` refuses a lower-dimensional cone, so the
+    # criterion is asked directly
+    rays = [(1, 0, -1, 1), (2, -1, -2, 0), (0, -2, 0, 1)]
+    c = make_cone(4, rays)
+    root = require_root(c, (-1, 0, -2, -1))
+    partner = require_root(c, (1, -1, 0, -2))
+    assert partner.ray == (1, 0, -1, 1)
+    assert lnds_commute(root, partner) and not roots_equivalent(root, partner)
+
+
+def test_cone_kernel_of_a_six_ray_cone_golden(invoke):
+    # the kernel face is a facet of the dual; its own dual is the face's
+    # line and one ray per facet, so the box scan has six rows
+    rays = [(0, -1, -2, 2), (-2, 1, -1, -1), (2, -2, -2, 2), (1, 1, -2, -1),
+            (-2, 0, 2, -1), (-2, 0, 1, -1)]
+    cone = json.dumps({"rank": 4, "rays": [list(r) for r in rays]})
+    start = perf_counter()
+    code, out, err = invoke(["cone", "kernel", "--root", "-2,-1,-2,1"], cone)
+    assert perf_counter() - start < 5
+    assert code == 0 and err == ""
+    generators = [[-3, 1, -2, 2], [-1, -9, -3, -4], [-1, -5, -2, -2],
+                  [-1, -2, -3, -4], [-1, -1, -2, -2], [-1, -1, -1, 0],
+                  [-1, 0, -1, 0], [0, -3, -1, -2], [0, -2, -1, -2],
+                  [1, -12, -4, -10]]
+    assert out == json.dumps({
+        "complete": True,
+        "generators": generators,
+        "root": {"ray": [-2, 0, 2, -1], "ray_index": 0, "vector": [-2, -1, -2, 1]},
+    }, sort_keys=True, indent=2) + "\n"
+    # the kernel is the level-zero part of the dual's Hilbert basis
+    c = make_cone(4, rays)
+    basis = hilbert_basis(make_cone(4, dual_cone(c).generators)).elements
+    assert [list(h) for h in basis if pairing(h, (-2, 0, 2, -1)) == 0] == generators
 
 
 FLAT4_JSON = ('{"rank": 4, "rays": [[-1,-1,-2,1],[-1,0,-1,-1],'

@@ -8,7 +8,15 @@ import pytest
 from lndkit import cone as C
 from lndkit import lattice
 from lndkit.errors import RefusalError
-from oracles import cone_member, fm_two_face_functional, positive_functional
+from oracles import (
+    cone_member,
+    dual_cone_without_lines,
+    extremal_rays,
+    feasible_point,
+    fm_two_face_functional,
+    member_of_generators,
+    positive_functional,
+)
 
 SQUARE = C.make_cone(3, [(0, 0, 1), (2, 0, 1), (0, 1, 1), (1, 1, 1)])
 SQUARE_DUAL_GENS = ((-1, -1, 2), (0, -1, 1), (0, 1, 0), (1, 0, 0))
@@ -106,14 +114,19 @@ def random_pointed_cone(rng, rank, lo=-2, hi=3, max_bound=8):
     raise AssertionError("sampling failed to find a pointed cone")
 
 
-def random_cone(rng, rank):
-    """Any cone with small rays: pointed or not, often lower-dimensional."""
+def random_generators(rng, rank):
+    """Small nonzero generators, spanning a cone that is pointed or not
+    and often lower-dimensional."""
     k = rng.randint(1, rank + 2)
     gens = [tuple(rng.randint(-2, 3) for _ in range(rank)) for _ in range(k)]
     if rank > 1 and rng.random() < 0.4:
         # inside the hyperplane x_0 = x_1
         gens = [(g[1],) + g[1:] for g in gens]
-    return C.make_cone(rank, [g for g in gens if any(g)])
+    return [g for g in gens if any(g)]
+
+
+def random_cone(rng, rank):
+    return C.make_cone(rank, random_generators(rng, rank))
 
 
 def sweep_cones(seed, count):
@@ -127,20 +140,20 @@ def sweep_cones(seed, count):
 
 def test_feasible_point_basic():
     # x >= 1, -x >= -3 has solutions; the reconstruction must pick one
-    pt = C.feasible_point(1, [], [((1,), 1), ((-1,), -3)])
+    pt = feasible_point(1, [], [((1,), 1), ((-1,), -3)])
     assert pt is not None and 1 <= pt[0] <= 3
-    assert C.feasible_point(1, [], [((1,), 1), ((-1,), -2)]) is not None
-    assert C.feasible_point(1, [], [((1,), 1), ((-1,), 0)]) is None
+    assert feasible_point(1, [], [((1,), 1), ((-1,), -2)]) is not None
+    assert feasible_point(1, [], [((1,), 1), ((-1,), 0)]) is None
 
 
 def test_feasible_point_equalities():
     # x + y = 2 with x, y >= 0
-    pt = C.feasible_point(2, [((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)])
+    pt = feasible_point(2, [((1, 1), 2)], [((1, 0), 0), ((0, 1), 0)])
     assert pt is not None and pt[0] + pt[1] == 2 and pt[0] >= 0 and pt[1] >= 0
     # inconsistent pair of equalities
-    assert C.feasible_point(2, [((1, 1), 2), ((2, 2), 5)], []) is None
+    assert feasible_point(2, [((1, 1), 2), ((2, 2), 5)], []) is None
     # equality chain where substitution order used to matter
-    pt = C.feasible_point(3, [((1, 1, 0), 0), ((0, 1, 1), 0), ((1, 0, -1), 0)],
+    pt = feasible_point(3, [((1, 1, 0), 0), ((0, 1, 1), 0), ((1, 0, -1), 0)],
                           [((1, 0, 0), 1)])
     assert pt is not None
     x, y, z = pt
@@ -163,7 +176,7 @@ def test_feasible_point_mixed_random():
             val = sum(c * t for c, t in zip(co, target))
             ineqs.append((co, val - rng.randint(0, 3)))
         # built around a known point, so always feasible
-        pt = C.feasible_point(n, eqs, ineqs)
+        pt = feasible_point(n, eqs, ineqs)
         assert pt is not None
         for co, rhs in eqs:
             assert sum(c * p for c, p in zip(co, pt)) == rhs
@@ -173,7 +186,7 @@ def test_feasible_point_mixed_random():
 
 def test_feasible_point_detects_infeasible_combination():
     # x >= 1, y >= 1, -x - y >= -1
-    assert C.feasible_point(
+    assert feasible_point(
         2, [], [((1, 0), 1), ((0, 1), 1), ((-1, -1), -1)]) is None
 
 
@@ -296,6 +309,30 @@ def test_make_cone_canonical():
     assert c == c2
 
 
+def test_make_cone_matches_the_greedy_fourier_motzkin_pass_sweep():
+    # on a pointed cone the rays read off the dual are the extremal rays the
+    # greedy pass keeps; a cone with lines keeps its generators, and its
+    # pointedness and line are questions of the cone alone
+    rng = random.Random(43)
+    kinds = {}
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        gens = random_generators(rng, rank)
+        made = C.make_cone(rank, gens)
+        greedy = C.Cone(rank, extremal_rays(gens))
+        pointed = C.is_pointed(made)
+        assert pointed == C.is_pointed(greedy)
+        assert C.lineality_witness(made) == C.lineality_witness(greedy)
+        if pointed:
+            assert made == greedy
+        else:
+            assert made.rays == tuple(sorted({lattice.primitive_part(g) for g in gens}))
+        kind = (pointed, made == greedy)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds[(True, True)] > 200
+    assert kinds.get((False, False), 0) > 20
+
+
 def test_membership_cross_paths():
     rng = random.Random(17)
     for _ in range(40):
@@ -309,7 +346,7 @@ def test_membership_cross_paths():
         for _ in range(15):
             x = tuple(rng.randint(-5, 5) for _ in range(rank))
             # dual-pairing route and direct feasibility route must agree
-            assert cone_member(c, x) == C.member_of_generators(c.rays, x)
+            assert cone_member(c, x) == member_of_generators(c.rays, x)
 
 
 def test_is_pointed_cases():
@@ -380,6 +417,56 @@ def test_double_dual_round_trip():
         assert dd.rays == c.rays
 
 
+def facet_count(c):
+    """Facets of the cone, as distinct ray sets of rank one below the
+    cone's own, each the zero set of a generator of the dual found by the
+    loop without lines."""
+    dim = lattice.matrix_rank(c.rays)
+    zero_sets = set()
+    for d in dual_cone_without_lines(c).generators:
+        face = frozenset(r for r in c.rays if lattice.pairing(d, r) == 0)
+        if lattice.matrix_rank(list(face)) == dim - 1:
+            zero_sets.add(face)
+    return len(zero_sets)
+
+
+def test_dual_cone_matches_the_loop_without_lines_sweep():
+    # a full-dimensional input leaves no line: the output is the dual's
+    # extremal ray set, byte for byte. A lower-dimensional one generates the
+    # same dual from both directions of each line and one ray per facet
+    rng = random.Random(47)
+    full = lower = 0
+    for _ in range(300):
+        rank = rng.randint(1, 4)
+        c = random_cone(rng, rank)
+        got, want = C.dual_cone(c), dual_cone_without_lines(c)
+        dim = lattice.matrix_rank(c.rays)
+        if dim == rank:
+            assert got == want
+            full += 1
+            continue
+        lower += 1
+        assert got.dimension == want.dimension
+        assert len(got.generators) == 2 * (rank - dim) + facet_count(c)
+        for d in got.generators:
+            assert all(lattice.pairing(d, r) >= 0 for r in c.rays)
+        for x in product(range(-2, 3), repeat=rank):
+            assert (all(lattice.pairing(x, d) >= 0 for d in got.generators)
+                    == all(lattice.pairing(x, d) >= 0 for d in want.generators))
+    assert full > 100 and lower > 100
+
+
+def test_dual_of_a_lower_dimensional_cone_is_its_line_and_facets():
+    # a pointed cone of dimension 3 in Z^4: its dual is the line through
+    # (-3, 0, 2, 1) and one ray per facet, where the loop without lines
+    # keeps hundreds of generators
+    c = C.make_cone(4, [(-1, -1, -2, 1), (-1, 0, -1, -1), (1, -2, 1, 1), (1, -2, 2, -1)])
+    gens = C.dual_cone(c).generators
+    assert len(gens) == 6 and facet_count(c) == 4
+    assert (-3, 0, 2, 1) in gens and (3, 0, -2, -1) in gens
+    assert len(dual_cone_without_lines(c).generators) == 276
+
+
 def test_dual_as_cone_matches_make_cone_sweep():
     # a lower-dimensional cone is refused, see the test below
     full = [c for c in sweep_cones(37, 150) if lattice.matrix_rank(c.rays) == c.rank]
@@ -411,7 +498,7 @@ def test_dual_of_ray_is_halfplane():
     for x in range(-4, 5):
         for y in range(-4, 5):
             inside = x + y >= 0
-            assert C.member_of_generators(dual, (x, y)) == inside
+            assert member_of_generators(dual, (x, y)) == inside
 
 
 # ---------------------------------------------------------------------------
