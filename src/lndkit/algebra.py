@@ -20,8 +20,8 @@ of g. Any other pair compares a(b(g)) with b(a(g)).
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
+from operator import ge, mul
 
 from .errors import SearchBoundExceeded
 from .lattice import pairing, vec_add
@@ -311,6 +311,9 @@ class MonomialShiftDerivation(Derivation):
     def __init__(self, weight, shift):
         self.weight = tuple(weight)
         self.shift = tuple(shift)
+        if len(self.weight) != len(self.shift):
+            raise ValueError("a monomial shift needs a weight and a shift of equal "
+                             f"length, got {len(self.weight)} and {len(self.shift)}")
 
     def apply(self, poly: Polynomial) -> Polynomial:
         out = {}
@@ -364,20 +367,35 @@ def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
 
     Two monomial shifts are bracketed in closed form: expanding both
     compositions gives [a, b](chi^m) = <m, w> chi^(m + s_a + s_b) with
-    w = <s_b, w_a> w_b - <s_a, w_b> w_a. As m -> m + s_a + s_b is
-    injective, the terms of [a, b](g) cannot cancel, so [a, b] kills g iff
-    <m, w> = 0 for every exponent m of g: one weight per pair, one integer
-    pairing per term, no polynomial built. When w = 0, as for two roots on
-    the same ray, the pair commutes and no term is read. Any other pair
-    compares a(b(g)) with b(a(g)), skipping a generator that both inner
-    images kill, since both sides then vanish.
+    w = k_a w_b - k_b w_a, k_a = <s_b, w_a>, k_b = <s_a, w_b>. As
+    m -> m + s_a + s_b is injective, the terms of [a, b](g) cannot cancel,
+    so [a, b] kills g iff <m, w> = 0 for every exponent m of g: one weight
+    per pair, one integer dot product per term, no polynomial built. Two
+    cases show w = 0 from k_a and k_b alone, so the pair commutes and no
+    term is read: k_a = k_b = 0, and equal weights with k_a = k_b, where
+    w = (k_a - k_b) w_a (every pair of roots on one ray). A shift has its
+    weight's length, so one check that the two weights have equal length
+    covers k_a and k_b; a term of another length than w raises when it is
+    read. Any other pair compares a(b(g)) with b(a(g)), skipping a
+    generator that both inner images kill, since both sides then vanish.
     """
     if isinstance(a, MonomialShiftDerivation) and isinstance(b, MonomialShiftDerivation):
-        ka, kb = pairing(b.shift, a.weight), pairing(a.shift, b.weight)
-        w = tuple(ka * y - kb * x for x, y in zip(a.weight, b.weight))
-        if not any(w):
+        wa, wb = a.weight, b.weight
+        n = len(wa)
+        if len(wb) != n:
+            raise ValueError(f"pairing needs equal lengths, got {len(wb)} and {n}")
+        ka = sum(map(mul, b.shift, wa))
+        kb = sum(map(mul, a.shift, wb))
+        if ka == kb and (not ka or wa == wb):
             return True
-        return not any(pairing(m, w) for g in generators for m in g.terms)
+        w = [ka * y - kb * x for x, y in zip(wa, wb)]
+        for g in generators:
+            for m in g.terms:
+                if len(m) != n:
+                    raise ValueError(f"pairing needs equal lengths, got {len(m)} and {n}")
+                if sum(map(mul, m, w)):
+                    return False
+        return True
     for g in generators:
         ag, bg = a.apply(g), b.apply(g)
         if (ag.terms or bg.terms) and a.apply(bg) != b.apply(ag):
@@ -454,7 +472,7 @@ class TrinomialRing:
         return Polynomial.monomial(self.leading_monomial()) - self.substitute_polynomial()
 
     def _reducible(self, exp) -> bool:
-        return all(map(operator.ge, exp[self.n0:self.n0 + self.n1], self.l1))
+        return all(map(ge, exp[self.n0:self.n0 + self.n1], self.l1))
 
     def reduce(self, poly: Polynomial) -> Polynomial:
         """Normal form: no term divisible by the T1 leading monomial.

@@ -161,6 +161,14 @@ def test_monomial_shift_derivation_golden():
     assert d.apply(z) == (x * x * y).scale(2)
 
 
+def test_monomial_shift_rejects_unequal_lengths():
+    # apply would add a shorter shift to a prefix of each exponent only:
+    # (1,0) with shift (1,0,0) sent X^(1,0) to X^(2,0)
+    for weight, shift in (((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0)), ((), (1,))):
+        with pytest.raises(ValueError, match="equal length"):
+            A.MonomialShiftDerivation(weight, shift)
+
+
 @settings(max_examples=80, deadline=None)
 @given(poly_strategy(dim=3), poly_strategy(dim=3))
 def test_leibniz_monomial_shift(p, q):
@@ -260,6 +268,105 @@ def test_monomial_shift_bracket_against_composition():
         assert got == commutes_by_composition(a, b, gens)
         seen[got] += 1
     assert seen[True] > 100 and seen[False] > 100
+
+
+def test_monomial_shift_bracket_shortcuts_against_composition():
+    # pairs on either side of the w = 0 shortcuts on k_a = <s_b, w_a> and
+    # k_b = <s_a, w_b>, each checked against the definition
+    rng = random.Random(11)
+
+    def vec(dim):
+        return tuple(rng.randint(-3, 3) for _ in range(dim))
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def nonzero(dim):
+        while True:
+            v = vec(dim)
+            if any(v):
+                return v
+
+    def equal_weights(dim):
+        # w = (k_a - k_b) w_a, nonzero
+        u = nonzero(dim)
+        while True:
+            sa, sb = vec(dim), vec(dim)
+            if dot(sb, u) != dot(sa, u):
+                return u, sa, u, sb
+
+    def parallel_weights(dim):
+        # w = (c k_a - k_b) w_a; a common shift makes it 0 with k_a, k_b != 0
+        wa, c = nonzero(dim), rng.choice([-3, -2, -1, 2, 3])
+        wb = tuple(c * x for x in wa)
+        while True:
+            sb = vec(dim)
+            sa = sb if rng.random() < 0.5 else vec(dim)
+            if dot(sb, wa) and dot(sa, wb):
+                return wa, sa, wb, sb
+
+    def first_kernel_zero(dim):
+        # k_a = 0 with different weights, and in half the draws k_b = 0 too
+        both = rng.random() < 0.5
+        while True:
+            wa, sa, wb, sb = nonzero(dim), vec(dim), nonzero(dim), vec(dim)
+            if wa != wb and not dot(sb, wa) and both == (not dot(sa, wb)):
+                return wa, sa, wb, sb
+
+    groups = {"equal weights": equal_weights, "parallel weights": parallel_weights,
+              "k_a = 0": first_kernel_zero}
+    for name, draw in groups.items():
+        seen = {True: 0, False: 0}
+        w_zero = empty = 0
+        for _ in range(300):
+            wa, sa, wb, sb = draw(rng.randint(2, 4))
+            ka, kb = dot(sb, wa), dot(sa, wb)
+            w_zero += not any(ka * y - kb * x for x, y in zip(wa, wb))
+            a = A.MonomialShiftDerivation(wa, sa)
+            b = A.MonomialShiftDerivation(wb, sb)
+            exps = {vec(len(wa)) for _ in range(10)}
+            killed = [m for m in exps
+                      if commutes_by_composition(a, b, [A.Polynomial.monomial(m)])]
+            pool = killed + [vec(len(wa))] if rng.random() < 0.5 or not killed else killed
+            gens = [A.Polynomial({rng.choice(pool): rng.choice([-2, -1, 1, 3])
+                                  for _ in range(rng.randint(1, 3))})
+                    for _ in range(rng.choice([0, 1, 1, 2, 3]))]
+            empty += not gens
+            want = commutes_by_composition(a, b, gens)
+            assert A.commutator_vanishes_on(a, b, gens) is want, name
+            assert A.commutator_vanishes_on(b, a, gens) is want, name
+            seen[want] += 1
+        assert seen[True] > 30 and seen[False] > 30, (name, seen)
+        assert empty > 20, name
+        if name == "equal weights":
+            assert w_zero == 0
+        else:
+            assert w_zero > 50, (name, w_zero)
+
+
+def test_monomial_shift_bracket_length_errors():
+    x3 = A.Polynomial.monomial((1, 0, 0))
+    two = A.MonomialShiftDerivation((1, 0), (0, 1))
+    three = A.MonomialShiftDerivation((1, 0, 0), (0, 0, 1))
+    for gens in ([], [x3]):
+        with pytest.raises(ValueError, match="equal lengths"):
+            A.commutator_vanishes_on(two, three, gens)
+        with pytest.raises(ValueError, match="equal lengths"):
+            A.commutator_vanishes_on(three, two, gens)
+    # k_a = k_b = 1 and w = (-1, 1) != 0, so the rank-3 term is read
+    a = A.MonomialShiftDerivation((1, 0), (-1, 1))
+    b = A.MonomialShiftDerivation((0, 1), (1, -1))
+    with pytest.raises(ValueError, match="equal lengths"):
+        A.commutator_vanishes_on(a, b, [x3])
+    with pytest.raises(ValueError, match="equal lengths"):
+        A.commutator_vanishes_on(a, b, [A.Polynomial.monomial((1, 1)), x3])
+    # parallel weights: k_a = 1, k_b = 2 and w = 0, but no shortcut shows it,
+    # so the terms are read
+    a = A.MonomialShiftDerivation((1, 0), (1, 1))
+    b = A.MonomialShiftDerivation((2, 0), (1, 1))
+    assert A.commutator_vanishes_on(a, b, [A.Polynomial.monomial((1, 1))])
+    with pytest.raises(ValueError, match="equal lengths"):
+        A.commutator_vanishes_on(a, b, [x3])
 
 
 def test_mixed_pair_takes_the_composition_path():
