@@ -39,7 +39,6 @@ from .lattice import (
     LatticeVector,
     QuasitorusPresentation,
     LatticeQuotient,
-    determinant,
     extends_to_basis,
     mat_mul,
     mat_vec,
@@ -49,7 +48,6 @@ from .lattice import (
     solve_dual_pair,
     transpose,
     vec_add,
-    vec_mat,
     vec_scale,
 )
 
@@ -150,27 +148,25 @@ def roots_equivalent(a: DemazureRoot, b: DemazureRoot) -> bool:
     return a.ray == b.ray
 
 
-def _partner_root(cone: Cone, vp: LatticeVector, v: LatticeVector,
-                  cap: int = 1000) -> DemazureRoot:
+def _partner_root(cone: Cone, vp: LatticeVector, v: LatticeVector) -> DemazureRoot:
     """A root on the ray vp that annihilates v.
 
     The caller passes a neighbour pair: two-face adjacent and basis
-    extending. Starts from the dual pair and walks along the two-face
-    functional until every other ray pairs nonnegatively; k grows from 0,
-    so the first hit is the minimal one.
+    extending. The dual pair gives base, pairing -1 with vp and 0 with v;
+    the two-face functional omega pairs 0 with both and at least 1 with
+    every other ray r. So base + k omega is a root exactly when
+    k >= -(<base, r> // <omega, r>) for every such r, and the least such
+    k >= 0 gives the minimal shift along the two-face.
     """
     pair = solve_dual_pair(vp, v)
     omega = two_face_functional(cone, vp, v)
     assert pair is not None and omega is not None, "not a neighbour pair"
-    base = pair[0]  # pairs -1 with vp, 0 with v
-    for k in range(cap + 1):
-        e = vec_add(base, vec_scale(k, omega))
-        root = is_demazure_root(cone, e)
-        if root is not None:
-            assert root.ray == vp and pairing(e, v) == 0
-            return root
-    raise SearchBoundExceeded("no admissible shift found along the two-face",
-                              cap=cap)
+    base = pair[0]
+    k = max([0, *(-(pairing(base, r) // pairing(omega, r))
+                  for r in cone.rays if r != vp and r != v)])
+    root = is_demazure_root(cone, vec_add(base, vec_scale(k, omega)))
+    assert root is not None and root.ray == vp and pairing(root.vector, v) == 0
+    return root
 
 
 def construct_commuting_pair(cone: Cone):
@@ -323,13 +319,19 @@ def s_delta(cone: Cone, root: DemazureRoot, perm_cap: int = 40320) -> SemigroupS
     rays: with R_S the rays of S as rows and d R_S^-1 the integer adjugate
     block of one elimination, d G^T = (d R_S^-1)(images of S) must be
     divisible by d. A solution is kept when it maps every ray to its
-    image, fixes the root, is unimodular and permutes the dual Hilbert
-    basis.
+    image. Nothing more needs checking:
+
+    - it fixes the root: <e G, v_i> = <e, v_pi(i)> = <e, v_i> for every
+      ray, since pi keeps the level classes, and the rays span N over Q;
+    - it is unimodular: G permutes a finite spanning set, so G^k = I for
+      some k, and det G = +-1;
+    - it permutes the dual Hilbert basis: G maps the cone onto itself, so
+      m -> m G is a unimodular automorphism of the dual semigroup, and it
+      permutes that semigroup's unique Hilbert basis.
     """
     _require_pointed(cone)
     hb = hilbert_basis(dual_as_cone(cone))
     assert hb.complete
-    basis = set(hb.elements)
     rays = cone.rays
     n = cone.rank
     levels = {}
@@ -359,10 +361,7 @@ def s_delta(cone: Cone, root: DemazureRoot, perm_cap: int = 40320) -> SemigroupS
         if any(x % d for row in scaled for x in row):
             continue
         g = transpose(tuple(tuple(x // d for x in row) for row in scaled))
-        if all(mat_vec(g, v) == rays[image[i]] for i, v in enumerate(rays)) \
-                and vec_mat(root.vector, g) == root.vector \
-                and abs(determinant(g)) == 1 \
-                and all(vec_mat(h, g) in basis for h in hb.elements):
+        if all(mat_vec(g, v) == rays[image[i]] for i, v in enumerate(rays)):
             found.append(g)
     found.sort()
     return SemigroupSymmetries(order=len(found), matrices=tuple(found),

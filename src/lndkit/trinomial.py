@@ -317,27 +317,17 @@ def derivation_degree(shape: TrinomialShape,
                       deriv: TrinomialDerivation):
     """Integer lifts of the derivation's degree, one per moved variable.
 
-    All lifts are checked to agree in the grading group; the sorted tuple
-    makes the choice of representative deterministic.
+    The lifts agree in the grading group; the sorted tuple makes the
+    choice of representative deterministic.
     """
     ring = shape.ring
-    quotient = grading_group(ring)
     lifts = []
     for v in (deriv.x_index, deriv.z_index):
         variable = ring.variable(v)
         (exp,) = deriv.derivation.apply(variable).support()
         (unit,) = variable.support()
         lifts.append(vec_sub(exp, unit))
-    assert quotient.same_class(lifts[0], lifts[1])
     return tuple(sorted(lifts))
-
-
-def isotropy_quasitorus(shape: TrinomialShape,
-                        deriv: TrinomialDerivation) -> QuasitorusPresentation:
-    """The diagonal quasitorus elements commuting with the derivation:
-    characters modulo the grading rows and the derivation degree."""
-    lift = derivation_degree(shape, deriv)[0]
-    return quasitorus_kernel(grading_group(shape.ring), lift)
 
 
 @dataclass(frozen=True)
@@ -381,21 +371,10 @@ def symmetry_factors(shape: TrinomialShape,
         return "z"
 
     moved = [v for v in range(n) if v not in (deriv.x_index, deriv.z_index)]
-    if shape.kind == "single_z":
-        # the single power variable is never permuted with anything
-        moved = [v for v in moved if v not in shape.z_indices]
-        keys = {v: (role(v), ring.l1[v]) for v in moved}
-    else:
-        rel = {}
-        for i, l in enumerate(ring.l1):
-            rel[i] = l
-        for zi, l in zip(shape.z_indices, shape.z_exponents):
-            rel[zi] = l
-        keys = {v: (role(v), rel[v], h[v], h2[v]) for v in moved}
-
+    rel = ring.l1 + ring.l2
     classes = {}
     for v in moved:
-        classes.setdefault(keys[v], []).append(v)
+        classes.setdefault((role(v), rel[v], h[v], h2[v]), []).append(v)
     factors = tuple(SymmetryFactor(variables=tuple(vs), size=len(vs))
                     for _, vs in sorted(classes.items(),
                                         key=lambda kv: kv[1][0]))
@@ -466,8 +445,10 @@ def trinomial_isotropy_report(ring: TrinomialRing, x_index: int | None = None,
             witness={"commuting_partner": verdict.witness.label()})
 
     symmetries = symmetry_factors(shape, deriv)
-    quasitorus = isotropy_quasitorus(shape, deriv)
+    grading = grading_group(ring)
     lifts = derivation_degree(shape, deriv)
+    assert grading.same_class(lifts[0], lifts[1])
+    quasitorus = quasitorus_kernel(grading, lifts[0])
 
     discrepancies = []
     ref = EXTERNAL_REFERENCE_VALUES.get(
@@ -490,5 +471,5 @@ def trinomial_isotropy_report(ring: TrinomialRing, x_index: int | None = None,
     return TrinomialIsotropyReport(
         shape=shape, derivation=deriv, maximality=verdict,
         symmetries=symmetries, quasitorus=quasitorus,
-        grading=grading_group(ring), degree_lifts=lifts,
+        grading=grading, degree_lifts=lifts,
         discrepancies=tuple(discrepancies))

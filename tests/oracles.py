@@ -11,7 +11,14 @@ from itertools import permutations, product
 from math import factorial, gcd, lcm, prod
 
 from lndkit.algebra import ParamPoly, Polynomial
-from lndkit.cone import Cone, DualCone, dual_as_cone, dual_cone, hilbert_basis
+from lndkit.cone import (
+    Cone,
+    DualCone,
+    dual_as_cone,
+    dual_cone,
+    hilbert_basis,
+    two_face_functional,
+)
 from lndkit.errors import RefusalError, SearchBoundExceeded
 from lndkit.lattice import (
     LatticeMatrix,
@@ -24,13 +31,19 @@ from lndkit.lattice import (
     pairing,
     primitive_part,
     row_reduce,
+    solve_dual_pair,
     transpose,
     vec_add,
     vec_mat,
     vec_scale,
     vec_sub,
 )
-from lndkit.toric import DemazureRoot, SemigroupSymmetries, find_local_slice
+from lndkit.toric import (
+    DemazureRoot,
+    SemigroupSymmetries,
+    find_local_slice,
+    is_demazure_root,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +404,32 @@ def express_in_slice(cone: Cone, root: DemazureRoot, m,
                                    twist=twist, kernel_weight=k)
     raise SearchBoundExceeded("no kernel twist rewrites the character "
                               "inside the cap", cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# toric partner roots
+
+
+def partner_root_by_walk(cone: Cone, vp: LatticeVector, v: LatticeVector,
+                         cap: int = 1000):
+    """(root, k): a root on the ray vp that annihilates v, by a walk.
+
+    For a neighbour pair (two-face adjacent, basis extending), the walk
+    starts at the dual pair's character base, pairing -1 with vp and 0
+    with v, and tries base + k omega along the two-face functional omega
+    for k = 0, 1, ... until one is a root; the first hit is the minimal
+    shift. Refused past ``cap`` steps.
+    """
+    pair = solve_dual_pair(vp, v)
+    omega = two_face_functional(cone, vp, v)
+    assert pair is not None and omega is not None, "not a neighbour pair"
+    for k in range(cap + 1):
+        root = is_demazure_root(cone, vec_add(pair[0], vec_scale(k, omega)))
+        if root is not None:
+            assert root.ray == vp and pairing(root.vector, v) == 0
+            return root, k
+    raise SearchBoundExceeded("no admissible shift found along the two-face",
+                              cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,9 @@ SUM_WALK4_JSON = ('{"rank": 4, "rays": [[-1,0,1,1],[0,-1,1,0],'
 
 def test_cone_maximal_witness_golden(invoke):
     # the partner walks along the sum of the dual generators vanishing on
-    # both rays, which pins this witness; a walk along the Fourier-Motzkin
-    # functional ends at (1, 0, 3, -2) instead
+    # both rays, which pins this witness, one step (k = 1) from the dual
+    # pair's character; a walk along the Fourier-Motzkin functional ends
+    # at (1, 0, 3, -2) instead
     code, out, err = invoke(["cone", "maximal", "--root", "2,1,2,-1",
                              "--format", "text"], SUM_WALK4_JSON)
     assert code == 0 and err == ""

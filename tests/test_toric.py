@@ -14,7 +14,7 @@ import pytest
 from lndkit.algebra import MonomialShiftDerivation, Polynomial, commutator_vanishes_on
 from lndkit.cone import Cone, adjacency_set, dual_cone, hilbert_basis, is_pointed, make_cone
 from lndkit.errors import RefusalError, SearchBoundExceeded
-from lndkit.lattice import matrix_rank, pairing, vec_add, vec_scale
+from lndkit.lattice import determinant, matrix_rank, pairing, vec_add, vec_mat, vec_scale
 from lndkit.toric import (
     DemazureRoot,
     construct_commuting_pair,
@@ -31,7 +31,12 @@ from lndkit.toric import (
     symbolic_commute_check,
     toric_isotropy_report,
 )
-from oracles import express_in_slice, level_class_symmetries, rational_inverse
+from oracles import (
+    express_in_slice,
+    level_class_symmetries,
+    partner_root_by_walk,
+    rational_inverse,
+)
 
 # rays in canonical (lex) order: index 0 is the distinguished ray of the
 # worked example root below
@@ -436,6 +441,36 @@ def test_maximality_and_commuting_pairs_run_no_fourier_motzkin():
     assert non_maximal > 10 and built > 5
 
 
+def test_partner_roots_match_the_two_face_walk_sweep():
+    # the witnesses of is_maximal and both roots of construct_commuting_pair
+    # are the first hit of the walk base + k omega, including long walks
+    rng = random.Random(3)
+    steps = {}
+    for i in range(60):
+        cone = random_cone(rng, 2 + i % 3)
+        for root in enumerate_roots(cone, 2):
+            verdict = is_maximal(cone, root)
+            if verdict.maximal:
+                continue
+            vp = next(r for r in verdict.neighbours
+                      if pairing(root.vector, r) == 0)
+            partner, k = partner_root_by_walk(cone, vp, root.ray)
+            assert verdict.witness == partner
+            steps[k] = steps.get(k, 0) + 1
+        try:
+            a, b = construct_commuting_pair(cone)
+        except RefusalError:
+            continue
+        (first, j), (second, k) = (partner_root_by_walk(cone, a.ray, b.ray),
+                                   partner_root_by_walk(cone, b.ray, a.ray))
+        assert (a, b) == (first, second)
+        steps[j] = steps.get(j, 0) + 1
+        steps[k] = steps.get(k, 0) + 1
+    assert sum(steps.values()) > 500
+    assert sum(n for k, n in steps.items() if k >= 2) > 30
+    assert max(steps) >= 4
+
+
 # ---------------------------------------------------------------------------
 # kernel, slice, torus
 
@@ -627,6 +662,12 @@ def test_symmetries_match_level_class_search_sweep():
             sym = s_delta(cone, root)
             assert (sym.order, sym.matrices, sym.basis) == \
                 (ref.order, ref.matrices, ref.basis)
+            # what the ray permutation implies, and s_delta does not check
+            basis = set(sym.basis)
+            for g in sym.matrices:
+                assert abs(determinant(g)) == 1
+                assert vec_mat(root.vector, g) == root.vector
+                assert {vec_mat(h, g) for h in sym.basis} == basis
             orders[sym.order] = orders.get(sym.order, 0) + 1
             compared += 1
     assert compared > 200

@@ -9,6 +9,7 @@ import pytest
 
 from lndkit.algebra import Polynomial, TrinomialRing, exponential
 from lndkit.errors import RefusalError
+from lndkit.lattice import quasitorus_kernel
 from lndkit.trinomial import (
     EXTERNAL_REFERENCE_VALUES,
     classify,
@@ -17,7 +18,6 @@ from lndkit.trinomial import (
     elementary_derivations,
     grading_group,
     is_rigid,
-    isotropy_quasitorus,
     kernel_monomials,
     kernel_variable_indices,
     maximality_verdict,
@@ -332,23 +332,19 @@ def test_degree_lifts_single_ring():
 
 
 def test_isotropy_quasitorus_single_ring():
-    shape = classify(RING_SINGLE)
-    d1 = elementary_derivations(shape)[0]
-    pres = isotropy_quasitorus(shape, d1)
+    pres = trinomial_isotropy_report(RING_SINGLE).quasitorus
     assert pres.free_rank == 3 and pres.torsion == (3,)
+    shape = classify(RING_SINGLE)
+    lift = derivation_degree(shape, elementary_derivations(shape)[0])[0]
+    assert quasitorus_kernel(grading_group(RING_SINGLE), lift) == pres
 
 
 def test_isotropy_quasitorus_rank_formula_plain_times_power():
     # for a single power variable the diagonal stabilizer torus has
     # dimension (plain count - 1) + (higher count) - 1
     ring = TrinomialRing((), (1, 1), (2,))
-    shape = classify(ring)
-    d = elementary_derivations(shape)[0]
-    pres = isotropy_quasitorus(shape, d)
-    assert pres.free_rank == 0
-    assert isotropy_quasitorus(classify(RING_SINGLE),
-                               elementary_derivations(classify(RING_SINGLE))[0]
-                               ).free_rank == 2 + 3 - 2
+    assert trinomial_isotropy_report(ring).quasitorus.free_rank == 0
+    assert trinomial_isotropy_report(RING_SINGLE).quasitorus.free_rank == 2 + 3 - 2
 
 
 def test_symmetry_factors_single_ring():
@@ -360,6 +356,17 @@ def test_symmetry_factors_single_ring():
     sizes = sorted((f.variables, f.size) for f in sym.factors)
     assert ((2, 3), 2) in [(f.variables, f.size) for f in sym.factors]
     assert [s for _, s in sizes] == [1, 2, 1]
+
+
+def test_symmetry_factors_single_ring_reads_the_multiplier():
+    # T2 is in the multiplier and T3 is not, so the two exponent-2
+    # variables do not swap
+    shape = classify(RING_SINGLE)
+    sym = symmetry_factors(shape, derivation_for(shape, 0, None,
+                                                 (0, 0, 1, 0, 0, 0)))
+    assert sym.order == 1
+    assert sym.moved == (1, 2, 3, 4)
+    assert all(f.size == 1 for f in sym.factors)
 
 
 def test_symmetry_factors_split_with_replica():
