@@ -21,6 +21,7 @@ of g. Any other pair compares a(b(g)) with b(a(g)).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from operator import ge, mul
 
 from .errors import SearchBoundExceeded
@@ -49,6 +50,13 @@ class ParamPoly:
             if c != 0:
                 clean[tuple(pw)] = c
         self.terms = clean
+
+    @classmethod
+    def _of_clean(cls, vars: tuple, terms: dict) -> "ParamPoly":
+        # terms already keyed by tuples with nonzero Fraction coefficients
+        poly = cls.__new__(cls)
+        poly.vars, poly.terms = vars, terms
+        return poly
 
     @classmethod
     def constant(cls, value) -> "ParamPoly":
@@ -262,6 +270,9 @@ class Polynomial:
         out = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
+                if len(ea) != len(eb):  # vec_add would truncate to the shorter
+                    raise ValueError("a product needs terms of equal length, "
+                                     f"got {len(ea)} and {len(eb)}")
                 key = vec_add(ea, eb)
                 cur = out.get(key)
                 out[key] = ca * cb if cur is None else cur + ca * cb
@@ -331,10 +342,20 @@ class VariableImagesDerivation(Derivation):
 
     ``images`` maps variable index to a Polynomial. An optional reducer is
     applied after every Leibniz expansion, which is how quotient rings stay
-    in normal form.
+    in normal form. It receives the raw sum, whose terms may have zero
+    coefficients, and returns a clean Polynomial, as TrinomialRing.reduce
+    does. Construction checks that every index lies in range(nvars) and
+    every image term has length nvars, so apply need not.
     """
 
     def __init__(self, nvars: int, images: dict, reducer=None):
+        for i, image in images.items():
+            if i not in range(nvars):
+                raise ValueError(f"variable index {i} lies outside range({nvars})")
+            for exp in image.terms:
+                if len(exp) != nvars:
+                    raise ValueError(f"the image of variable {i} has a term of length "
+                                     f"{len(exp)} in a ring of {nvars} variables")
         self.nvars = nvars
         self.images = {i: p for i, p in images.items() if not p.is_zero()}
         self.reducer = reducer
@@ -353,10 +374,11 @@ class VariableImagesDerivation(Derivation):
                     key = vec_add(lowered, e2)
                     cur = out.get(key)
                     out[key] = ca * c2 if cur is None else cur + ca * c2
-        total = Polynomial(out)
         if self.reducer is not None:
-            total = self.reducer(total)
-        return total
+            # the reducer cleans the raw Leibniz sum once: a zero entry only
+            # ever adds 0 to the terms it rewrites into
+            return self.reducer(Polynomial._of_clean(out))
+        return Polynomial(out)
 
 
 def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
@@ -405,27 +427,34 @@ def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
 
 def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
                 cap: int = 64) -> Polynomial:
-    """exp(param * derivation) applied to poly, exactly.
+    """exp(param * derivation) applied to poly, exactly: the finite sum
+    sum_k param^k/k! delta^k(poly), with ParamPoly coefficients.
 
-    Requires the iteration to terminate within the cap; the sum
-    sum_k param^k/k! delta^k(poly) is returned with ParamPoly coefficients.
+    ``cap`` bounds the derivation applications: delta^(cap+1)(poly) must
+    vanish, else SearchBoundExceeded is raised after cap + 1 of them, so
+    cap 0 accepts only kernel elements. The coefficient of each exponent in
+    each delta^k(poly) is recorded as it comes, ints staying ints, and each
+    exponent's ParamPoly is built once at the end, from the terms c/k! of
+    param^k. A ParamPoly coefficient (a nested exponential) is multiplied
+    by param^k/k! as a ParamPoly instead.
     """
-    out = {}
-    current = poly
-    k = 0
-    factorial = 1
-    while not current.is_zero():
+    series = {}  # exponent -> {k: its coefficient in delta^k(poly)}, then its ParamPoly
+    current, k = poly, 0
+    while current.terms:
         if k > cap:
             raise SearchBoundExceeded(
                 f"exponential did not terminate within {cap} steps", cap=cap)
-        coeff = ParamPoly((param,), {(k,): Fraction(1, factorial)})
         for exp, c in current.terms.items():
-            cur = out.get(exp)
-            out[exp] = coeff * c if cur is None else cur + coeff * c
-        current = derivation.apply(current)
-        k += 1
-        factorial *= k
-    return Polynomial(out)
+            series.setdefault(exp, {})[k] = c
+        current, k = derivation.apply(current), k + 1
+    for exp, cs in series.items():
+        try:
+            series[exp] = ParamPoly._of_clean((param,), {(j,): Fraction(c, factorial(j))
+                                                         for j, c in cs.items()})
+        except TypeError:  # a ParamPoly coefficient, which Fraction refuses
+            series[exp] = sum(ParamPoly((param,), {(j,): Fraction(1, factorial(j))}) * c
+                              for j, c in cs.items())
+    return Polynomial(series)
 
 
 # ---------------------------------------------------------------------------

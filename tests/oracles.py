@@ -297,6 +297,32 @@ def substitute(p: ParamPoly, assignment: dict) -> ParamPoly:
     return out
 
 
+def exponential_by_parampoly(derivation, poly: Polynomial, param: str = "t",
+                             cap: int = 64) -> Polynomial:
+    """exp(param * derivation) applied to poly, one ParamPoly per term.
+
+    Each step k builds param^k/k! as a ParamPoly, multiplies it into every
+    term of delta^k(poly) and adds the product to that exponent's running
+    ParamPoly. Refused once delta^(cap+1)(poly) is nonzero.
+    """
+    out = {}
+    current = poly
+    k = 0
+    factorial = 1
+    while not current.is_zero():
+        if k > cap:
+            raise SearchBoundExceeded(
+                f"exponential did not terminate within {cap} steps", cap=cap)
+        coeff = ParamPoly((param,), {(k,): Fraction(1, factorial)})
+        for exp, c in current.terms.items():
+            cur = out.get(exp)
+            out[exp] = coeff * c if cur is None else cur + coeff * c
+        current = derivation.apply(current)
+        k += 1
+        factorial *= k
+    return Polynomial(out)
+
+
 def homogeneous_components(poly: Polynomial, degree_fn):
     """Split a polynomial along a grading.
 

@@ -8,8 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from lndkit import algebra as A
 from lndkit import lattice
-from lndkit.errors import SearchBoundExceeded
-from oracles import homogeneous_components, is_locally_nilpotent, substitute
+from lndkit import trinomial as T
+from lndkit.cone import make_cone
+from lndkit.errors import RefusalError, SearchBoundExceeded
+from lndkit.toric import enumerate_roots
+from oracles import (
+    exponential_by_parampoly,
+    homogeneous_components,
+    is_locally_nilpotent,
+    substitute,
+)
 
 # the running toric example: ambient weight lattice Z^3, semigroup algebra
 # K[x, y, z, w] with weights below, derivation attached to the ray (0,0,1)
@@ -167,6 +175,29 @@ def test_monomial_shift_rejects_unequal_lengths():
     for weight, shift in (((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0)), ((), (1,))):
         with pytest.raises(ValueError, match="equal length"):
             A.MonomialShiftDerivation(weight, shift)
+
+
+def test_variable_images_reject_indices_and_lengths_outside_the_ring():
+    # apply used to truncate: the image X^(0,) of T0 sent X^(2,1) to 2*X^[1],
+    # and an index of -1 acted as the last variable
+    x = A.Polynomial.monomial
+    for images in ({0: x((0,))}, {1: x((1, 0)) + x((1, 0, 0))}, {-1: x((0, 1))},
+                   {2: x((0, 1))}, {"0": x((0, 1))}, {5: A.Polynomial()}):
+        with pytest.raises(ValueError, match="range|length"):
+            A.VariableImagesDerivation(2, images)
+    d = A.VariableImagesDerivation(2, {0: x((0, 0)), 1: A.Polynomial()})
+    assert d.apply(x((2, 1))) == x((1, 1), 2)
+
+
+def test_polynomial_product_rejects_unequal_lengths():
+    # vec_add truncated to the shorter exponent: X^(1,0) * X^(1,) gave X^[2]
+    x = A.Polynomial.monomial
+    for p, q in ((x((1, 0)), x((1,))), (x((1,)), x((1, 0))),
+                 (x((1, 0)), x((0, 1)) + x((1, 1, 1)))):
+        with pytest.raises(ValueError, match="equal length"):
+            p * q
+    assert (x((1, 0)) * A.Polynomial()).is_zero()
+    assert x((1, 0)) * x((0, 2), 3) == x((1, 2), 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -463,6 +494,86 @@ def test_exponential_cap():
     d = A.VariableImagesDerivation(1, {0: A.Polynomial.monomial((2,))})
     with pytest.raises(SearchBoundExceeded):
         A.exponential(d, A.Polynomial.monomial((1,)), cap=10)
+
+
+def _same_series(derivation, poly, param="t", cap=64):
+    """exponential against the ParamPoly-per-term oracle: the same
+    Polynomial and the same printed coefficients, or the same refusal."""
+    try:
+        want = exponential_by_parampoly(derivation, poly, param=param, cap=cap)
+    except SearchBoundExceeded as err:
+        with pytest.raises(SearchBoundExceeded) as got:
+            A.exponential(derivation, poly, param=param, cap=cap)
+        assert (got.value.cap, str(got.value)) == (err.cap, str(err))
+        return None
+    got = A.exponential(derivation, poly, param=param, cap=cap)
+    assert got == want
+    assert {e: str(c) for e, c in got.terms.items()} == \
+        {e: str(c) for e, c in want.terms.items()}
+    return got
+
+
+def test_exponential_matches_parampoly_oracle_sweep():
+    rng = random.Random(23)
+    counts = {"toric": 0, "trinomial": 0, "replica": 0, "nested": 0, "refused": 0}
+
+    def check(derivation, poly, kind):
+        cap = rng.choice((0, 1, 2, 3, 64, 64, 64))
+        counts["refused" if _same_series(derivation, poly, cap=cap) is None else kind] += 1
+
+    def coeff():
+        return rng.choice((1, -2, 3, Fraction(1, 2), Fraction(-5, 3)))
+
+    # toric root derivations on semigroup monomials and their sums
+    cones = 0
+    while cones < 12:
+        rank = rng.choice((2, 3))
+        rays = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                for _ in range(rng.randint(rank, rank + 1))]
+        try:
+            roots = enumerate_roots(make_cone(rank, [r for r in rays if any(r)]), 2)
+        except (RefusalError, ValueError):
+            continue
+        if not roots:
+            continue
+        cones += 1
+        box = [m for m in product(range(-3, 4), repeat=rank)
+               if all(lattice.pairing(m, r) >= 0 for r in rays)]
+        for root in rng.sample(roots, min(4, len(roots))):
+            d = root.derivation()
+            for _ in range(3):
+                ms = rng.sample(box, min(len(box), rng.randint(1, 3)))
+                check(d, A.Polynomial({m: coeff() for m in ms}), "toric")
+    # trinomial elementary and replica derivations, reduced modulo the relation
+    for l1, l2 in (((1, 2), (2, 3)), ((1, 1, 2), (2, 2)), ((1, 1), (2, 3)),
+                   ((1, 1, 2, 2, 7), (3,)), ((1, 3), (2,))):
+        ring = A.TrinomialRing((), l1, l2)
+        shape = T.classify(ring)
+        n = ring.nvars
+        for deriv in T.elementary_derivations(shape):
+            replica = tuple(0 if i in (deriv.x_index, deriv.z_index) else rng.randint(0, 1)
+                            for i in range(n))
+            replicated = T.derivation_for(shape, deriv.x_index, deriv.z_index, replica)
+            for d, kind in ((deriv, "trinomial"), (replicated, "replica")):
+                for _ in range(6):
+                    weight = [0] * n
+                    for _ in range(rng.randint(0, 8)):
+                        weight[rng.randrange(n)] += 1
+                    check(d.derivation, A.Polynomial.monomial(tuple(weight), coeff()), kind)
+    # exp(s delta) of a t-series: ParamPoly coefficients
+    split = T.elementary_derivations(T.classify(A.TrinomialRing((), (1, 2), (2, 3))))[0]
+    for d, weights in ((A.MonomialShiftDerivation(RAY, ROOT), (WZ, WY)),
+                       (split.derivation, ((1, 0, 0, 0), (2, 1, 0, 1)))):
+        for weight in weights:
+            once = _same_series(d, A.Polynomial.monomial(weight, Fraction(2, 3)))
+            assert _same_series(d, once, param="s") is not None
+            counts["nested"] += 1
+    assert counts["toric"] > 60 and counts["trinomial"] > 30 and counts["replica"] > 30
+    assert counts["refused"] > 20 and counts["nested"] == 4
+    # a derivation that is not locally nilpotent trips every cap
+    d = A.VariableImagesDerivation(1, {0: A.Polynomial.monomial((2,))})
+    for cap in (0, 1, 5):
+        assert _same_series(d, A.Polynomial.monomial((1,), Fraction(1, 3)), cap=cap) is None
 
 
 def test_exponential_inverse():
