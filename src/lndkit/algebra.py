@@ -2,10 +2,9 @@
 
 Monomials are exponent tuples (negative entries allowed, so localized
 monomials work too) and coefficients are ints until a division happens,
-then Fractions or ParamPoly values, whichever the computation needs.
-ParamPoly covers the formal parameters of exponentials, so one-parameter
-subgroups are manipulated exactly in Q[t] or Q[s, t] instead of being
-sampled at numeric times.
+then Fractions. The exponential's coefficients are ParamPoly values in
+Q[t], one formal parameter, so the one-parameter subgroup exp(t delta) is
+manipulated exactly instead of being sampled at numeric times.
 
 A derivation is given by what it does to monomials: a monomial shift, or
 the images of the variables. Commutators are never built as objects; a
@@ -33,16 +32,21 @@ from .lattice import pairing, vec_add
 
 
 class ParamPoly:
-    """Polynomial in named formal parameters with Fraction coefficients.
+    """Polynomial in one formal parameter with Fraction coefficients: an
+    element of Q[t], the coefficient ring of exp(t * derivation).
 
-    Example: the coefficient of a second order exponential term is
-    ParamPoly.variable("t") ** 2 / 2, printed as "1/2*t^2".
+    ``vars`` is the 1-tuple naming the parameter, ``terms`` maps (k,) to the
+    nonzero coefficient of param^k: ParamPoly(("t",), {(2,): Fraction(1, 2)})
+    prints as "1/2*t^2". Sums need the same parameter and products an int
+    or a Fraction: other operands raise rather than merge or nest series.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
+        if len(self.vars) != 1:
+            raise ValueError(f"a ParamPoly has one parameter, got {len(self.vars)}")
         clean = {}
         for pw, c in terms.items():
             if type(c) is not Fraction:
@@ -58,139 +62,45 @@ class ParamPoly:
         poly.vars, poly.terms = vars, terms
         return poly
 
-    @classmethod
-    def constant(cls, value) -> "ParamPoly":
-        v = Fraction(value)
-        return cls((), {(): v} if v != 0 else {})
-
-    @classmethod
-    def variable(cls, name: str) -> "ParamPoly":
-        return cls((name,), {(1,): Fraction(1)})
-
-    @classmethod
-    def coerce(cls, value) -> "ParamPoly":
-        if isinstance(value, ParamPoly):
-            return value
-        return cls.constant(value)
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _aligned(self, other):
-        other = ParamPoly.coerce(other)
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        merged = tuple(sorted(set(self.vars) | set(other.vars)))
-
-        def remap(p):
-            idx = [p.vars.index(v) if v in p.vars else None for v in merged]
-            out = {}
-            for pw, c in p.terms.items():
-                key = tuple(0 if i is None else pw[i] for i in idx)
-                out[key] = c
-            return out
-
-        return merged, remap(self), remap(other)
-
     def __add__(self, other):
-        vs, a, b = self._aligned(other)
-        out = dict(a)
-        for pw, c in b.items():
-            out[pw] = out.get(pw, Fraction(0)) + c
-        return ParamPoly(vs, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ParamPoly(self.vars, {pw: -c for pw, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-ParamPoly.coerce(other))
-
-    def __rsub__(self, other):
-        return ParamPoly.coerce(other) + (-self)
+        if not isinstance(other, ParamPoly) or other.vars != self.vars:
+            raise TypeError(f"a series in {self.vars[0]} adds only to a series "
+                            f"in {self.vars[0]}, not to {other!r}")
+        out = dict(self.terms)
+        for pw, c in other.terms.items():
+            out[pw] = out.get(pw, 0) + c
+        return ParamPoly(self.vars, out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly(self.vars, {pw: c * other for pw, c in self.terms.items()})
-        vs, a, b = self._aligned(other)
-        out = {}
-        for pa, ca in a.items():
-            for pb, cb in b.items():
-                key = tuple(x + y for x, y in zip(pa, pb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return ParamPoly(vs, out)
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError("a ParamPoly is scaled by an int or a Fraction, "
+                            f"not {type(other).__name__}")
+        return ParamPoly(self.vars, {pw: c * other for pw, c in self.terms.items()})
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        inv = 1 / Fraction(other)
-        return ParamPoly(self.vars, {pw: c * inv for pw, c in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        out = ParamPoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
-        if isinstance(other, ParamPoly):
-            _, a, b = self._aligned(other)
-            return a == b
-        if isinstance(other, (int, Fraction)):
-            cv = self.constant_value()
-            return cv is not None and cv == Fraction(other)
-        return NotImplemented
+        if not isinstance(other, ParamPoly):
+            return NotImplemented
+        return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        # constants hash as their value, since they compare equal to it;
-        # otherwise hash a canonical form: unused vars dropped, names sorted
-        value = self.constant_value()
-        if value is not None:
-            return hash(value)
-        used = sorted((i for i in range(len(self.vars))
-                       if any(pw[i] for pw in self.terms)), key=self.vars.__getitem__)
-        vs = tuple(self.vars[i] for i in used)
-        items = frozenset((tuple(pw[i] for i in used), c)
-                          for pw, c in self.terms.items())
-        return hash((vs, items))
-
-    def constant_value(self):
-        """The Fraction value when the polynomial is constant, else None."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1:
-            pw, c = next(iter(self.terms.items()))
-            if all(x == 0 for x in pw):
-                return c
-        return None
+        return hash((self.vars, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for pw in sorted(self.terms, key=lambda p: (sum(p), p)):
-            c = self.terms[pw]
-            factors = []
-            for var, power in zip(self.vars, pw):
-                if power == 1:
-                    factors.append(var)
-                elif power > 1:
-                    factors.append(f"{var}^{power}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(str(c) + "*" + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        (var,) = self.vars
+        out = ""
+        for (k,), c in sorted(self.terms.items()):
+            if out:
+                out += " - " if c < 0 else " + "
+            elif c < 0:
+                out = "-"
+            a, power = abs(c), (var if k == 1 else f"{var}^{k}")
+            out += str(a) if k == 0 else power if a == 1 else f"{a}*{power}"
+        return out or "0"
 
     def __repr__(self):
         return f"ParamPoly({self})"
@@ -243,9 +153,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support(self):
-        return tuple(sorted(self.terms))
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -345,7 +252,9 @@ class VariableImagesDerivation(Derivation):
     in normal form. It receives the raw sum, whose terms may have zero
     coefficients, and returns a clean Polynomial, as TrinomialRing.reduce
     does. Construction checks that every index lies in range(nvars) and
-    every image term has length nvars, so apply need not.
+    every image term has length nvars; apply checks each input term's
+    length once, so a term of another length raises instead of being
+    truncated by vec_add.
     """
 
     def __init__(self, nvars: int, images: dict, reducer=None):
@@ -363,6 +272,9 @@ class VariableImagesDerivation(Derivation):
     def apply(self, poly: Polynomial) -> Polynomial:
         out = {}
         for exp, c in poly.terms.items():
+            if len(exp) != self.nvars:
+                raise ValueError(f"a term of length {len(exp)} in a ring of "
+                                 f"{self.nvars} variables")
             for i, image in self.images.items():
                 a = exp[i]
                 if a == 0:
@@ -428,15 +340,16 @@ def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
 def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
                 cap: int = 64) -> Polynomial:
     """exp(param * derivation) applied to poly, exactly: the finite sum
-    sum_k param^k/k! delta^k(poly), with ParamPoly coefficients.
+    sum_k param^k/k! delta^k(poly), with ParamPoly coefficients in Q[param].
 
-    ``cap`` bounds the derivation applications: delta^(cap+1)(poly) must
-    vanish, else SearchBoundExceeded is raised after cap + 1 of them, so
-    cap 0 accepts only kernel elements. The coefficient of each exponent in
-    each delta^k(poly) is recorded as it comes, ints staying ints, and each
+    The coefficients of poly must be ints or Fractions; a ParamPoly
+    coefficient (a series fed back in) raises TypeError. ``cap`` bounds the
+    derivation applications: delta^(cap+1)(poly) must vanish, else
+    SearchBoundExceeded is raised after cap + 1 of them, so cap 0 accepts
+    only kernel elements. The coefficient of each exponent in each
+    delta^k(poly) is recorded as it comes, ints staying ints, and each
     exponent's ParamPoly is built once at the end, from the terms c/k! of
-    param^k. A ParamPoly coefficient (a nested exponential) is multiplied
-    by param^k/k! as a ParamPoly instead.
+    param^k.
     """
     series = {}  # exponent -> {k: its coefficient in delta^k(poly)}, then its ParamPoly
     current, k = poly, 0
@@ -448,12 +361,8 @@ def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
             series.setdefault(exp, {})[k] = c
         current, k = derivation.apply(current), k + 1
     for exp, cs in series.items():
-        try:
-            series[exp] = ParamPoly._of_clean((param,), {(j,): Fraction(c, factorial(j))
-                                                         for j, c in cs.items()})
-        except TypeError:  # a ParamPoly coefficient, which Fraction refuses
-            series[exp] = sum(ParamPoly((param,), {(j,): Fraction(1, factorial(j))}) * c
-                              for j, c in cs.items())
+        series[exp] = ParamPoly._of_clean((param,), {(j,): Fraction(c, factorial(j))
+                                                     for j, c in cs.items()})
     return Polynomial(series)
 
 

@@ -324,10 +324,10 @@ def cmd_trinomial_rigid(args) -> int:
     })
 
 
-def _derivation_json(ring, deriv):
+def _derivation_json(deriv):
     images = {}
     for v in (deriv.x_index, deriv.z_index):
-        images[str(v)] = _poly_json(deriv.derivation.apply(ring.variable(v)))
+        images[str(v)] = _poly_json(deriv.derivation.images[v])
     return {
         "images": images,
         "label": deriv.label(),
@@ -348,7 +348,7 @@ def cmd_trinomial_lnds(args) -> int:
                 commuting.append([i, j])
     payload = {
         "commuting_pairs": commuting,
-        "derivations": [_derivation_json(ring, d) for d in derivs],
+        "derivations": [_derivation_json(d) for d in derivs],
         "kind": shape.kind,
     }
     if args.replica_degree is not None:

@@ -355,9 +355,6 @@ class LatticeQuotient:
         label.extend(y[len(self.invariant_factors):])
         return tuple(label)
 
-    def is_zero(self, x: LatticeVector) -> bool:
-        return all(c == 0 for c in self.degree(x))
-
     def same_class(self, x: LatticeVector, y: LatticeVector) -> bool:
         return self.degree(x) == self.degree(y)
 

@@ -323,9 +323,9 @@ def derivation_degree(shape: TrinomialShape,
     ring = shape.ring
     lifts = []
     for v in (deriv.x_index, deriv.z_index):
-        variable = ring.variable(v)
-        (exp,) = deriv.derivation.apply(variable).support()
-        (unit,) = variable.support()
+        # neither image involves x_index, so both are already normal forms
+        (exp,) = deriv.derivation.images[v].terms
+        (unit,) = ring.variable(v).terms
         lifts.append(vec_sub(exp, unit))
     return tuple(sorted(lifts))
 
@@ -455,8 +455,7 @@ def trinomial_isotropy_report(ring: TrinomialRing, x_index: int | None = None,
         (ring.l0, ring.l1, ring.l2, x_index) if replica is None and
         shape.kind == "single_z" else None)
     if ref is not None:
-        image = deriv.derivation.apply(ring.variable(deriv.z_index))
-        (power_image,) = image.support()
+        (power_image,) = deriv.derivation.images[deriv.z_index].terms
         computed = {
             "power_image_exponents": power_image,
             "stabilized_monomial_exponents":

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, lcm, prod
 
-from lndkit.algebra import ParamPoly, Polynomial
+from lndkit.algebra import ParamPoly, Polynomial, exponential
 from lndkit.cone import (
     Cone,
     DualCone,
@@ -281,20 +281,56 @@ def fm_two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
 # polynomials and derivations
 
 
-def substitute(p: ParamPoly, assignment: dict) -> ParamPoly:
-    """Replace the parameters of p by Fractions or other ParamPoly values."""
-    out = ParamPoly.constant(0)
-    for pw, c in p.terms.items():
-        term = ParamPoly.constant(c)
-        for var, power in zip(p.vars, pw):
-            if power == 0:
-                continue
-            val = assignment.get(var)
-            if val is None:
-                val = ParamPoly.variable(var)
-            term = term * ParamPoly.coerce(val) ** power
-        out = out + term
-    return out
+def evaluate_series(series: Polynomial, value) -> Polynomial:
+    """The series with its parameter set to value: every ParamPoly
+    coefficient sum_k c_k param^k evaluated exactly."""
+    return Polynomial({e: sum(c * value ** k for (k,), c in p.terms.items())
+                       for e, p in series.terms.items()})
+
+
+def series_degree(series: Polynomial) -> int:
+    """The highest power of the parameter in the series' coefficients."""
+    return max((k for p in series.terms.values() for (k,) in p.terms), default=0)
+
+
+def distinct_values(n: int) -> list:
+    """n distinct rationals. A polynomial in one parameter of degree below n
+    that vanishes at all of them is zero, and so is one in two parameters,
+    of degree below n in each, that vanishes on their n x n grid."""
+    return [Fraction(2 * i - n, 3) for i in range(n)]
+
+
+def group_law_holds(derivation, p: Polynomial, reducer=None, cap: int = 64) -> bool:
+    """exp(s delta) exp(t delta) p == exp((s + t) delta) p, exactly.
+
+    With D the degree of exp(t delta) p, delta^(D+1) p = 0, so both sides
+    have degree at most D in s and at most D in t; they agree on a
+    (D+1) x (D+1) grid of (s, t) iff they are equal. Each side is compared
+    after the reducer, when there is one.
+    """
+    normal = reducer or (lambda poly: poly)
+    series = exponential(derivation, p, cap=cap)
+    values = distinct_values(series_degree(series) + 1)
+    for t in values:
+        inner = exponential(derivation, evaluate_series(series, t), param="s", cap=cap)
+        for s in values:
+            if normal(evaluate_series(inner, s)) != normal(evaluate_series(series, s + t)):
+                return False
+    return True
+
+
+def homomorphism_holds(derivation, p: Polynomial, q: Polynomial, reducer=None,
+                       cap: int = 64) -> bool:
+    """exp(t delta)(p q) == exp(t delta) p * exp(t delta) q, exactly: the
+    t-degree of either side is at most the larger of D_pq and D_p + D_q, so
+    one more value of t than that decides the law."""
+    normal = reducer or (lambda poly: poly)
+    left = exponential(derivation, p * q, cap=cap)
+    fp, fq = exponential(derivation, p, cap=cap), exponential(derivation, q, cap=cap)
+    degree = max(series_degree(left), series_degree(fp) + series_degree(fq))
+    return all(normal(evaluate_series(left, t))
+               == normal(evaluate_series(fp, t) * evaluate_series(fq, t))
+               for t in distinct_values(degree + 1))
 
 
 def exponential_by_parampoly(derivation, poly: Polynomial, param: str = "t",
@@ -367,16 +403,16 @@ def is_locally_nilpotent(derivation, generators, cap: int = 64) -> NilpotencyVer
             if k >= cap:
                 return NilpotencyVerdict(
                     status="inconclusive", orders=tuple(orders),
-                    witness={"cap": cap, "generator": current.support()})
+                    witness={"cap": cap, "generator": tuple(sorted(current.terms))})
             nxt = derivation.apply(current)
-            if not nxt.is_zero() and nxt.support() == current.support():
+            if not nxt.is_zero() and sorted(nxt.terms) == sorted(current.terms):
                 pairs = [(current.terms[e], nxt.terms[e]) for e in nxt.terms]
                 if not any(isinstance(c, ParamPoly) for pair in pairs for c in pair):
                     scalars = {Fraction(b) / Fraction(a) for a, b in pairs}
                     if len(scalars) == 1:
                         return NilpotencyVerdict(
                             status="not_nilpotent", orders=tuple(orders),
-                            witness={"eigenvector": current.support(),
+                            witness={"eigenvector": tuple(sorted(current.terms)),
                                      "eigenvalue": str(scalars.pop())})
             current = nxt
             k += 1

@@ -8,12 +8,9 @@ is catching an accidental complexity blowup, not micro-benchmarks.
 import json
 import random
 import time
-from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 from lndkit.algebra import (
-    ParamPoly,
     Polynomial,
     TrinomialRing,
     commutator_vanishes_on,
@@ -54,6 +51,7 @@ from lndkit.trinomial import (
     pair_commutes,
     trinomial_isotropy_report,
 )
+from oracles import group_law_holds, homomorphism_holds
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -234,31 +232,6 @@ def test_maximality_verdicts_backed_by_search():
     assert time.monotonic() - start < 120.0
 
 
-def _group_law_holds(deriv, p, reducer=None):
-    both = exponential(deriv, exponential(deriv, p, param="t", cap=256),
-                       param="s", cap=256)
-    joined = ParamPoly.variable("s") + ParamPoly.variable("t")
-    total = Polynomial({})
-    cur = p
-    k = 0
-    while cur.terms:
-        total = total + cur.scale(joined ** k * Fraction(1, factorial(k)))
-        cur = deriv.apply(cur)
-        k += 1
-        assert k < 300, "derivation failed to terminate"
-    if reducer is not None:
-        return reducer(both) == reducer(total)
-    return both == total
-
-
-def _homomorphism_holds(deriv, p, q, reducer=None):
-    left = exponential(deriv, p * q, cap=256)
-    right = exponential(deriv, p, cap=256) * exponential(deriv, q, cap=256)
-    if reducer is not None:
-        return reducer(left) == reducer(right)
-    return left == right
-
-
 def test_exponential_laws():
     start = time.monotonic()
     rng = random.Random(44)
@@ -284,8 +257,8 @@ def test_exponential_laws():
             return Polynomial.monomial(weight)
 
         p, q = monomial(), monomial()
-        assert _homomorphism_holds(deriv, p, q)
-        assert _group_law_holds(deriv, p)
+        assert homomorphism_holds(deriv, p, q, cap=256)
+        assert group_law_holds(deriv, p, cap=256)
         instances += 1
 
     rings = [TrinomialRing((), (1, 2), (2, 3)),
@@ -308,10 +281,10 @@ def test_exponential_laws():
                         rng.randrange(0, 3) for _ in range(ring.nvars)))
                     q = Polynomial.monomial(tuple(
                         rng.randrange(0, 3) for _ in range(ring.nvars)))
-                    assert _homomorphism_holds(variant.derivation, p, q,
-                                               reducer=ring.reduce)
-                    assert _group_law_holds(variant.derivation, p,
-                                            reducer=ring.reduce)
+                    assert homomorphism_holds(variant.derivation, p, q,
+                                              reducer=ring.reduce, cap=256)
+                    assert group_law_holds(variant.derivation, p,
+                                           reducer=ring.reduce, cap=256)
                     instances += 1
 
     assert instances >= 100
