@@ -80,15 +80,10 @@ class ParamPoly:
                             f"not {type(other).__name__}")
         return ParamPoly(self.vars, {pw: c * other for pw, c in self.terms.items()})
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     def __str__(self):
         (var,) = self.vars
@@ -168,36 +163,10 @@ class Polynomial:
             out[exp] = -c if cur is None else cur - c
         return Polynomial(out)
 
-    def __neg__(self):
-        return Polynomial({exp: -c for exp, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            return self.scale(other)
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                if len(ea) != len(eb):  # vec_add would truncate to the shorter
-                    raise ValueError("a product needs terms of equal length, "
-                                     f"got {len(ea)} and {len(eb)}")
-                key = vec_add(ea, eb)
-                cur = out.get(key)
-                out[key] = ca * cb if cur is None else cur + ca * cb
-        return Polynomial(out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        return Polynomial({exp: co * c for exp, co in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
         if not self.terms:
@@ -214,12 +183,7 @@ class Polynomial:
 # derivations
 
 
-class Derivation:
-    def apply(self, poly: Polynomial) -> Polynomial:
-        raise NotImplementedError
-
-
-class MonomialShiftDerivation(Derivation):
+class MonomialShiftDerivation:
     """chi^m maps to <m, weight> chi^(m + shift), extended linearly.
 
     This is the shape every homogeneous derivation of a semigroup algebra
@@ -244,7 +208,7 @@ class MonomialShiftDerivation(Derivation):
         return Polynomial._of_clean(out)
 
 
-class VariableImagesDerivation(Derivation):
+class VariableImagesDerivation:
     """Derivation of a polynomial ring given by its values on variables.
 
     ``images`` maps variable index to a Polynomial. An optional reducer is
@@ -293,8 +257,9 @@ class VariableImagesDerivation(Derivation):
         return Polynomial(out)
 
 
-def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
-    """Whether [a, b] kills every given generator.
+def commutator_vanishes_on(a, b, generators) -> bool:
+    """Whether [a, b] kills every given generator, for two derivations of
+    this module.
 
     A derivation vanishing on algebra generators vanishes everywhere, so
     this is an exact zero test as long as the generators generate.
@@ -337,10 +302,9 @@ def commutator_vanishes_on(a: Derivation, b: Derivation, generators) -> bool:
     return True
 
 
-def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
-                cap: int = 64) -> Polynomial:
-    """exp(param * derivation) applied to poly, exactly: the finite sum
-    sum_k param^k/k! delta^k(poly), with ParamPoly coefficients in Q[param].
+def exponential(derivation, poly: Polynomial, cap: int = 64) -> Polynomial:
+    """exp(t * derivation) applied to poly, exactly: the finite sum
+    sum_k t^k/k! delta^k(poly), with ParamPoly coefficients in Q[t].
 
     The coefficients of poly must be ints or Fractions; a ParamPoly
     coefficient (a series fed back in) raises TypeError. ``cap`` bounds the
@@ -349,7 +313,7 @@ def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
     only kernel elements. The coefficient of each exponent in each
     delta^k(poly) is recorded as it comes, ints staying ints, and each
     exponent's ParamPoly is built once at the end, from the terms c/k! of
-    param^k.
+    t^k.
     """
     series = {}  # exponent -> {k: its coefficient in delta^k(poly)}, then its ParamPoly
     current, k = poly, 0
@@ -361,8 +325,8 @@ def exponential(derivation: Derivation, poly: Polynomial, param: str = "t",
             series.setdefault(exp, {})[k] = c
         current, k = derivation.apply(current), k + 1
     for exp, cs in series.items():
-        series[exp] = ParamPoly._of_clean((param,), {(j,): Fraction(c, factorial(j))
-                                                     for j, c in cs.items()})
+        series[exp] = ParamPoly._of_clean(("t",), {(j,): Fraction(c, factorial(j))
+                                                   for j, c in cs.items()})
     return Polynomial(series)
 
 

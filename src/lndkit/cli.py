@@ -42,6 +42,7 @@ from .trinomial import (
     is_rigid,
     kernel_monomials,
     maximality_verdict,
+    missing_power_variable,
     pair_commutes,
     trinomial_isotropy_report,
 )
@@ -352,17 +353,10 @@ def cmd_trinomial_lnds(args) -> int:
         "kind": shape.kind,
     }
     if args.replica_degree is not None:
-        replicas = []
-        for d in derivs:
-            good = []
-            for h in kernel_monomials(shape, d, args.replica_degree):
-                if not any(h):
-                    continue
-                cand = derivation_for(shape, d.x_index, d.z_index, h)
-                if maximality_verdict(shape, cand).maximal:
-                    good.append(list(h))
-            replicas.append(good)
-        payload["maximal_replicas"] = replicas
+        payload["maximal_replicas"] = [
+            [list(h) for h in kernel_monomials(shape, d, args.replica_degree)
+             if any(h) and missing_power_variable(shape, d.z_index, h) is None]
+            for d in derivs]
     return _emit(args, payload)
 
 

@@ -307,14 +307,10 @@ def solve_dual_pair(v: LatticeVector, vp: LatticeVector):
 
 @dataclass(frozen=True)
 class QuasitorusPresentation:
-    """Diagonalizable group presented as (K*)^free_rank x prod mu_d.
-
-    ``characters`` keeps the defining relation rows for reproducibility.
-    """
+    """Diagonalizable group presented as (K*)^free_rank x prod mu_d."""
 
     free_rank: int
     torsion: tuple[int, ...]
-    characters: LatticeMatrix
 
 
 class LatticeQuotient:
@@ -367,10 +363,8 @@ def quasitorus_kernel(quotient: LatticeQuotient, d: LatticeVector) -> Quasitorus
     """
     if len(d) != quotient.rank:
         raise ValueError("vector length does not match rank")
-    augmented = quotient.relations + (tuple(d),)
-    finer = LatticeQuotient(quotient.rank, augmented)
+    finer = LatticeQuotient(quotient.rank, quotient.relations + (tuple(d),))
     return QuasitorusPresentation(
         free_rank=finer.free_rank,
         torsion=finer.torsion,
-        characters=augmented,
     )

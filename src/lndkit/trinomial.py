@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from math import factorial
 
 from .algebra import (
-    Derivation,
     Polynomial,
     TrinomialRing,
     VariableImagesDerivation,
@@ -29,6 +28,7 @@ from .lattice import (
     LatticeQuotient,
     QuasitorusPresentation,
     quasitorus_kernel,
+    vec_add,
     vec_sub,
 )
 
@@ -146,7 +146,7 @@ class TrinomialDerivation:
     x_index: int
     z_index: int
     replica: tuple | None
-    derivation: Derivation
+    derivation: VariableImagesDerivation
 
     def label(self) -> str:
         core = "d[{},{}]".format(self.x_index, self.z_index)
@@ -195,17 +195,16 @@ def derivation_for(shape: TrinomialShape, x_index: int,
             raise ValueError("replica multiplier must be a kernel monomial: "
                              "it cannot involve the two moved variables")
 
-    # image of the plain variable: the z-partial of the power product
-    z_exp = [0] * n
+    # both images are monomials times the multiplier h, so their exponents
+    # are sums: x -> l_z z^(l - e_z) h and z -> (stabilized monomial) h
+    h = (0,) * n if replica is None else replica
+    z_exp = list(h)
     for zi, l in zip(shape.z_indices, shape.z_exponents):
-        z_exp[zi] = l
+        z_exp[zi] += l
     z_exp[z_index] -= 1
     lead_coeff = dict(zip(shape.z_indices, shape.z_exponents))[z_index]
-    x_image = Polynomial.monomial(tuple(z_exp), lead_coeff)
-    z_image = Polynomial.monomial(_stabilized_monomial(shape, x_index))
-    if replica is not None:
-        h = Polynomial.monomial(replica)
-        x_image, z_image = h * x_image, h * z_image
+    x_image = Polynomial.monomial(z_exp, lead_coeff)
+    z_image = Polynomial.monomial(vec_add(_stabilized_monomial(shape, x_index), h))
     derivation = VariableImagesDerivation(
         n, {x_index: x_image, z_index: z_image}, reducer=ring.reduce)
     return TrinomialDerivation(x_index=x_index, z_index=z_index,
@@ -271,6 +270,20 @@ class TrinomialMaximality:
     witness: TrinomialDerivation | None
 
 
+def missing_power_variable(shape: TrinomialShape, z_index: int, h) -> int | None:
+    """The first power variable other than z_index on which the multiplier
+    h, an exponent vector, vanishes; None if h contains all of them.
+
+    This is the maximality criterion: h times the derivation moving z_index
+    is maximal iff there is none. A single power variable is z_index
+    itself, so there every homogeneous LND is maximal.
+    """
+    for zi in shape.z_indices:
+        if zi != z_index and not h[zi]:
+            return zi
+    return None
+
+
 def maximality_verdict(shape: TrinomialShape,
                        deriv: TrinomialDerivation) -> TrinomialMaximality:
     """Single power variable: every homogeneous LND is maximal. Several
@@ -281,15 +294,13 @@ def maximality_verdict(shape: TrinomialShape,
         return TrinomialMaximality(maximal=True,
                                    reason="single_power_variable",
                                    witness=None)
-    h = deriv.replica or (0,) * shape.ring.nvars
-    for zi in shape.z_indices:
-        if zi == deriv.z_index:
-            continue
-        if h[zi] == 0:
-            partner = derivation_for(shape, deriv.x_index, zi)
-            return TrinomialMaximality(maximal=False,
-                                       reason="missing_power_factor",
-                                       witness=partner)
+    zi = missing_power_variable(shape, deriv.z_index,
+                                deriv.replica or (0,) * shape.ring.nvars)
+    if zi is not None:
+        partner = derivation_for(shape, deriv.x_index, zi)
+        return TrinomialMaximality(maximal=False,
+                                   reason="missing_power_factor",
+                                   witness=partner)
     return TrinomialMaximality(maximal=True, reason="covers_power_block",
                                witness=None)
 

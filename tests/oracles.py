@@ -281,6 +281,21 @@ def fm_two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
 # polynomials and derivations
 
 
+def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The product p q, term by term. Terms of unequal length raise
+    ValueError, where adding their exponents would truncate to the shorter."""
+    out = {}
+    for ea, ca in p.terms.items():
+        for eb, cb in q.terms.items():
+            if len(ea) != len(eb):
+                raise ValueError("a product needs terms of equal length, "
+                                 f"got {len(ea)} and {len(eb)}")
+            key = vec_add(ea, eb)
+            cur = out.get(key)
+            out[key] = ca * cb if cur is None else cur + ca * cb
+    return Polynomial(out)
+
+
 def evaluate_series(series: Polynomial, value) -> Polynomial:
     """The series with its parameter set to value: every ParamPoly
     coefficient sum_k c_k param^k evaluated exactly."""
@@ -312,7 +327,7 @@ def group_law_holds(derivation, p: Polynomial, reducer=None, cap: int = 64) -> b
     series = exponential(derivation, p, cap=cap)
     values = distinct_values(series_degree(series) + 1)
     for t in values:
-        inner = exponential(derivation, evaluate_series(series, t), param="s", cap=cap)
+        inner = exponential(derivation, evaluate_series(series, t), cap=cap)
         for s in values:
             if normal(evaluate_series(inner, s)) != normal(evaluate_series(series, s + t)):
                 return False
@@ -325,19 +340,18 @@ def homomorphism_holds(derivation, p: Polynomial, q: Polynomial, reducer=None,
     t-degree of either side is at most the larger of D_pq and D_p + D_q, so
     one more value of t than that decides the law."""
     normal = reducer or (lambda poly: poly)
-    left = exponential(derivation, p * q, cap=cap)
+    left = exponential(derivation, poly_mul(p, q), cap=cap)
     fp, fq = exponential(derivation, p, cap=cap), exponential(derivation, q, cap=cap)
     degree = max(series_degree(left), series_degree(fp) + series_degree(fq))
     return all(normal(evaluate_series(left, t))
-               == normal(evaluate_series(fp, t) * evaluate_series(fq, t))
+               == normal(poly_mul(evaluate_series(fp, t), evaluate_series(fq, t)))
                for t in distinct_values(degree + 1))
 
 
-def exponential_by_parampoly(derivation, poly: Polynomial, param: str = "t",
-                             cap: int = 64) -> Polynomial:
-    """exp(param * derivation) applied to poly, one ParamPoly per term.
+def exponential_by_parampoly(derivation, poly: Polynomial, cap: int = 64) -> Polynomial:
+    """exp(t * derivation) applied to poly, one ParamPoly per term.
 
-    Each step k builds param^k/k! as a ParamPoly, multiplies it into every
+    Each step k builds t^k/k! as a ParamPoly, multiplies it into every
     term of delta^k(poly) and adds the product to that exponent's running
     ParamPoly. Refused once delta^(cap+1)(poly) is nonzero.
     """
@@ -349,7 +363,7 @@ def exponential_by_parampoly(derivation, poly: Polynomial, param: str = "t",
         if k > cap:
             raise SearchBoundExceeded(
                 f"exponential did not terminate within {cap} steps", cap=cap)
-        coeff = ParamPoly((param,), {(k,): Fraction(1, factorial)})
+        coeff = ParamPoly(("t",), {(k,): Fraction(1, factorial)})
         for exp, c in current.terms.items():
             cur = out.get(exp)
             out[exp] = coeff * c if cur is None else cur + coeff * c
@@ -458,9 +472,9 @@ def express_in_slice(cone: Cone, root: DemazureRoot, m,
             lhs = Polynomial.monomial(m)
             rhs = Polynomial.monomial(k)
             for _ in range(twist):
-                lhs = lhs * Polynomial.monomial(ker_dir)
+                lhs = poly_mul(lhs, Polynomial.monomial(ker_dir))
             for _ in range(level):
-                rhs = rhs * Polynomial.monomial(s)
+                rhs = poly_mul(rhs, Polynomial.monomial(s))
             assert lhs == rhs
             return SliceExpression(weight=m, slice=s, level=level,
                                    twist=twist, kernel_weight=k)

@@ -54,3 +54,44 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 if name not in attrs and (is_method or name not in names)]
     assert len(src) > 5
     assert not uncalled, "called only from tests: " + ", ".join(uncalled)
+
+
+# The check above matches a method by its bare name and exempts dunders. So
+# it cannot see a method that only tests call when another class's method of
+# the same name is read, nor a dunder that nothing in lndkit uses. These
+# pins fail on any change to either set: check the callers of each name by
+# hand, then update the pin.
+SHARED_METHOD_NAMES = {"apply", "is_zero"}
+DUNDERS = {
+    "Polynomial": {"__slots__", "__init__", "__add__", "__sub__", "__eq__",
+                   "__str__", "__repr__"},
+    "ParamPoly": {"__slots__", "__init__", "__add__", "__mul__", "__eq__",
+                  "__str__", "__repr__"},
+}
+
+
+def class_body_names(tree):
+    """(class name, name) of every method defined and name assigned in the
+    body of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield node.name, sub.name
+                elif isinstance(sub, ast.Assign):
+                    for target in sub.targets:
+                        if isinstance(target, ast.Name):
+                            yield node.name, target.id
+
+
+def test_shared_method_names_and_polynomial_dunders_are_pinned():
+    owners, dunders = {}, {}
+    for tree in parse_all(ROOT / "src" / "lndkit").values():
+        for cls, name in class_body_names(tree):
+            if name.startswith("__") and name.endswith("__"):
+                dunders.setdefault(cls, set()).add(name)
+            elif not name.startswith("_"):
+                owners.setdefault(name, set()).add(cls)
+    assert {name for name, classes in owners.items() if len(classes) > 1} \
+        == SHARED_METHOD_NAMES
+    assert {cls: dunders.get(cls) for cls in DUNDERS} == DUNDERS
