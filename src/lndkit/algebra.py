@@ -20,8 +20,8 @@ of g. Any other pair compares a(b(g)) with b(a(g)).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from operator import ge, mul
+from math import comb, factorial
+from operator import add, floordiv, ge, mul
 
 from .errors import SearchBoundExceeded
 from .lattice import pairing, vec_add
@@ -218,19 +218,28 @@ class VariableImagesDerivation:
     does. Construction checks that every index lies in range(nvars) and
     every image term has length nvars; apply checks each input term's
     length once, so a term of another length raises instead of being
-    truncated by vec_add.
+    truncated by the vector sum.
     """
 
     def __init__(self, nvars: int, images: dict, reducer=None):
+        # each image term c2 X^e2 becomes its shift e2 - e_i, so apply sends
+        # X^exp to a_i c c2 X^(exp + e2 - e_i) with one vector sum
+        self.nvars = nvars
+        self.images, self._shifts = {}, []
         for i, image in images.items():
             if i not in range(nvars):
                 raise ValueError(f"variable index {i} lies outside range({nvars})")
-            for exp in image.terms:
+            shifts = []
+            for exp, c in image.terms.items():
                 if len(exp) != nvars:
                     raise ValueError(f"the image of variable {i} has a term of length "
                                      f"{len(exp)} in a ring of {nvars} variables")
-        self.nvars = nvars
-        self.images = {i: p for i, p in images.items() if not p.is_zero()}
+                d = list(exp)
+                d[i] -= 1
+                shifts.append((tuple(d), c))
+            if shifts:
+                self.images[i] = image
+                self._shifts.append((i, shifts))
         self.reducer = reducer
 
     def apply(self, poly: Polynomial) -> Polynomial:
@@ -239,15 +248,13 @@ class VariableImagesDerivation:
             if len(exp) != self.nvars:
                 raise ValueError(f"a term of length {len(exp)} in a ring of "
                                  f"{self.nvars} variables")
-            for i, image in self.images.items():
+            for i, shifts in self._shifts:
                 a = exp[i]
                 if a == 0:
                     continue
-                lowered = list(exp)
-                lowered[i] -= 1
                 ca = c * a
-                for e2, c2 in image.terms.items():
-                    key = vec_add(lowered, e2)
+                for d, c2 in shifts:
+                    key = tuple(map(add, exp, d))
                     cur = out.get(key)
                     out[key] = ca * c2 if cur is None else cur + ca * c2
         if self.reducer is not None:
@@ -327,7 +334,8 @@ def exponential(derivation, poly: Polynomial, cap: int = 64) -> Polynomial:
     for exp, cs in series.items():
         series[exp] = ParamPoly._of_clean(("t",), {(j,): Fraction(c, factorial(j))
                                                    for j, c in cs.items()})
-    return Polynomial(series)
+    # every exponent recorded a nonzero coefficient, so its series is nonzero
+    return Polynomial._of_clean(series)
 
 
 # ---------------------------------------------------------------------------
@@ -355,53 +363,60 @@ class TrinomialRing:
         self.n1 = len(self.l1)
         self.n2 = len(self.l2)
         self.nvars = self.n0 + self.n1 + self.n2
-        self._sub = self.substitute_polynomial()
-
-    def _monomial(self, block_exps) -> tuple[int, ...]:
-        t0, t1, t2 = block_exps
-        return tuple(t0) + tuple(t1) + tuple(t2)
-
-    def leading_monomial(self) -> tuple[int, ...]:
-        return self._monomial(((0,) * self.n0, self.l1, (0,) * self.n2))
-
-    def substitute_polynomial(self) -> Polynomial:
-        """T2^l2 + T0^l0 (the image of the leading monomial)."""
-        t2 = self._monomial(((0,) * self.n0, (0,) * self.n1, self.l2))
-        t0 = self._monomial((self.l0, (0,) * self.n1, (0,) * self.n2))
-        return Polynomial.monomial(t2) + Polynomial.monomial(t0)
 
     def relation_polynomial(self) -> Polynomial:
-        return Polynomial.monomial(self.leading_monomial()) - self.substitute_polynomial()
-
-    def _reducible(self, exp) -> bool:
-        return all(map(ge, exp[self.n0:self.n0 + self.n1], self.l1))
+        """T1^l1 - T2^l2 - T0^l0, its three exponents written block by block."""
+        z0, z1, z2 = (0,) * self.n0, (0,) * self.n1, (0,) * self.n2
+        return Polynomial({z0 + self.l1 + z2: 1, z0 + z1 + self.l2: -1,
+                           self.l0 + z1 + z2: -1})
 
     def reduce(self, poly: Polynomial) -> Polynomial:
-        """Normal form: no term divisible by the T1 leading monomial.
+        """Normal form: no term divisible by the T1 leading monomial T1^l1.
 
-        Every rewrite strictly lowers the T1 degree of the term it touches,
-        so the loop terminates; the single-relation system is confluent, and
-        the rewrite target is chosen canonically anyway.
+        Closed form. A term c X^e with q = min_i e_{T1,i} // l1_i >= 1 is
+        c X^(e - q l1) (T1^l1)^q, so modulo the relation it equals
+        c X^(e - q l1) (T2^l2 + T0^l0)^q, the sum over j = 0..q of
+        C(q, j) c X^(e - q l1 + j l2 + (q - j) l0). Each of those terms is
+        irreducible: its T1 part e - q l1 falls below l1 where the minimum
+        is taken, and the substitutes hold no T1 variable. So the result is
+        congruent to poly and has no reducible term, which is what a normal
+        form of the rewrite system X^(e + l1) -> X^e (T2^l2 + T0^l0) is. That
+        system lowers the T1 degree at each step, so it terminates. Under a
+        T1-first lex order T1^l1 leads the relation, and one polynomial is
+        a Groebner basis of the ideal it generates, so the normal form is
+        unique and the closed form is it.
+
+        The raw Leibniz sum of VariableImagesDerivation.apply may carry zero
+        coefficients, so poly comes back as it is only when no term is
+        reducible and none is zero; otherwise every term is written once and
+        the sum cleaned once.
         """
-        work = dict(poly.terms)
-        while True:
-            targets = [exp for exp in work if self._reducible(exp)]
-            if not targets:
+        lo, hi, l1 = self.n0, self.n0 + self.n1, self.l1
+        first, terms = l1[0], poly.terms
+        for exp, c in terms.items():
+            # the first T1 entry alone rules out most terms
+            if (exp[lo] >= first and all(map(ge, exp[lo:hi], l1))) or _coeff_zero(c):
                 break
-            exp = max(targets)
-            c = work.pop(exp)
-            rest = list(exp)
-            for i, b in enumerate(self.l1):
-                rest[self.n0 + i] -= b
-            for es, cs in self._sub.terms.items():
-                key = vec_add(rest, es)
-                cur = work.get(key)
-                tot = c * cs if cur is None else cur + c * cs
-                if _coeff_zero(tot):
-                    work.pop(key, None)
-                else:
-                    work[key] = tot
-        return Polynomial(work)
+        else:
+            return poly
+        # the j = 0 term of a term with q = 1 lies `down` from it: T1^l1
+        # becomes T0^l0; each further j takes a `step` from T0^l0 to T2^l2
+        down = self.l0 + tuple(-b for b in l1) + (0,) * self.n2
+        step = tuple(-b for b in self.l0) + (0,) * self.n1 + self.l2
+        out = {}
+        for exp, c in terms.items():
+            q = min(map(floordiv, exp[lo:hi], l1))
+            if q <= 0:
+                cur = out.get(exp)
+                out[exp] = c if cur is None else cur + c
+                continue
+            key = tuple(map(add, exp, down if q == 1 else [q * x for x in down]))
+            for j in range(q + 1):
+                cj = c * comb(q, j) if 0 < j < q else c
+                cur = out.get(key)
+                out[key] = cj if cur is None else cur + cj
+                key = tuple(map(add, key, step))
+        return Polynomial(out)
 
     def variable(self, index: int) -> Polynomial:
         exp = [0] * self.nvars

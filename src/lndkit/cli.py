@@ -606,10 +606,20 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A rejected command line is malformed input like any other: error()
+    raises InputError, so stderr carries the JSON report and the exit is 2.
+    argparse's own report is a usage text wrapped to the terminal's width,
+    whose bytes would change with COLUMNS. Subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def _build_parser():
     # built once per process: parse_args keeps no state between calls
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lndkit",
         description="Exact decisions about homogeneous locally nilpotent "
                     "derivations on toric varieties and trinomial "
@@ -707,8 +717,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(list(argv)))
     try:
+        args = parser.parse_args(_normalize_argv(list(argv)))
         _check_search_sizes(args)
         return args.handler(args)
     except InputError as err:

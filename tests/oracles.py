@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, lcm, prod
 
-from lndkit.algebra import ParamPoly, Polynomial, exponential
+from lndkit.algebra import ParamPoly, Polynomial, TrinomialRing, exponential
 from lndkit.cone import (
     Cone,
     DualCone,
@@ -371,6 +371,34 @@ def exponential_by_parampoly(derivation, poly: Polynomial, cap: int = 64) -> Pol
         k += 1
         factorial *= k
     return Polynomial(out)
+
+
+def reduce_by_rewriting(ring: TrinomialRing, poly: Polynomial) -> Polynomial:
+    """Normal form modulo T1^l1 - T2^l2 - T0^l0 by the rewrite system: while
+    some term is divisible by T1^l1, rewrite the largest such term X^(e + l1)
+    to X^e T2^l2 + X^e T0^l0, one step at a time, merging each new term
+    into the polynomial and dropping it when the sum cancels."""
+    lo, hi = ring.n0, ring.n0 + ring.n1
+    lead = (0,) * ring.n0 + ring.l1 + (0,) * ring.n2
+    substitutes = ((0,) * (ring.n0 + ring.n1) + ring.l2,
+                   ring.l0 + (0,) * (ring.n1 + ring.n2))
+    work = dict(poly.terms)
+    while True:
+        targets = [exp for exp in work
+                   if all(a >= b for a, b in zip(exp[lo:hi], ring.l1))]
+        if not targets:
+            return Polynomial(work)
+        exp = max(targets)
+        c = work.pop(exp)
+        rest = vec_sub(exp, lead)
+        for sub in substitutes:
+            key = vec_add(rest, sub)
+            cur = work.get(key)
+            total = c if cur is None else cur + c
+            if (total.is_zero() if isinstance(total, ParamPoly) else total == 0):
+                work.pop(key, None)
+            else:
+                work[key] = total
 
 
 def homogeneous_components(poly: Polynomial, degree_fn):

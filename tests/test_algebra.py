@@ -21,6 +21,7 @@ from oracles import (
     homomorphism_holds,
     is_locally_nilpotent,
     poly_mul,
+    reduce_by_rewriting,
     series_degree,
 )
 
@@ -644,8 +645,9 @@ def test_reduce_idempotent_and_multiplicative():
         # well defined on the quotient
         assert ring.reduce(poly_mul(p, q2)) == ring.reduce(
             poly_mul(ring.reduce(p), ring.reduce(q2)))
+        # normal: no term is divisible by the T1 leading monomial x y^2
         for exp in rp.terms:
-            assert not ring._reducible(exp)
+            assert not all(e >= b for e, b in zip(exp[ring.n0:ring.n0 + ring.n1], ring.l1))
 
 
 def test_reduce_merges_with_existing_normal_terms():
@@ -653,6 +655,68 @@ def test_reduce_merges_with_existing_normal_terms():
     # the rewrite of x y^2 produces exactly the two terms being subtracted
     p = A.Polynomial({(1, 2, 0, 0): 1, (0, 0, 2, 3): -1, (0, 0, 0, 0): -1})
     assert ring.reduce(p).is_zero()
+
+
+# (l0, l1, l2): rings with an empty, a one- and a two-variable T0 block
+SWEEP_RINGS = (((), (1, 2), (2, 3)), ((), (1,), (2,)), ((2,), (1, 1), (3,)),
+               ((2,), (2, 3), (1, 2)), ((2, 4), (1, 2, 1), (3,)),
+               ((1, 3), (2,), (2, 1)))
+
+
+def _sweep_coefficient(rng, kind):
+    # zero with probability 1/5, in every kind
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    if kind == "int":
+        return a
+    if kind == "Fraction":
+        return Fraction(a, rng.randint(1, 3))
+    return A.ParamPoly(("t",), {(0,): Fraction(a, 2), (1,): b} if a else {})
+
+
+def _is_zero(c):
+    return c.is_zero() if isinstance(c, A.ParamPoly) else c == 0
+
+
+def _sweep_exponent(rng, ring, q):
+    """A random exponent with min_i e_{T1,i} // l1_i = q: the first T1
+    quotient is q, the others q or q + 1."""
+    exp = [rng.randint(0, 3) for _ in range(ring.nvars)]
+    for i, b in enumerate(ring.l1):
+        exp[ring.n0 + i] = (q + (i > 0 and rng.randint(0, 1))) * b + rng.randint(0, b - 1)
+    return tuple(exp)
+
+
+def test_reduce_matches_rewriting_oracle_sweep():
+    rng = random.Random(22)
+    qs, zero_inputs, cancelled = set(), 0, 0
+    for l0, l1, l2 in SWEEP_RINGS:
+        ring = A.TrinomialRing(l0, l1, l2)
+        for trial in range(90):
+            kind = ("int", "Fraction", "ParamPoly")[trial % 3]
+            # zero coefficients stay in, as in a raw Leibniz sum
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                q = rng.randint(0, 5)
+                qs.add(q)
+                terms[_sweep_exponent(rng, ring, q)] = _sweep_coefficient(rng, kind)
+            zero_inputs += any(map(_is_zero, terms.values()))
+            if trial % 2:
+                # a reducible term next to its normal form, negated: the
+                # term's rewrite cancels them
+                exp, c = _sweep_exponent(rng, ring, rng.randint(1, 4)), 1
+                if kind == "ParamPoly":
+                    c = A.ParamPoly(("t",), {(2,): Fraction(1, 3)})
+                planted = {exp: c}
+                for e, d in reduce_by_rewriting(ring, A.Polynomial(planted)).terms.items():
+                    planted[e] = d * -1
+                assert ring.reduce(A.Polynomial(planted)).is_zero()
+                cancelled += 1
+                terms.update(planted)
+            p = A.Polynomial._of_clean(terms)
+            got = ring.reduce(p)
+            assert got == reduce_by_rewriting(ring, p), (l0, l1, l2, p)
+            assert not any(map(_is_zero, got.terms.values()))
+    assert qs == set(range(6)) and zero_inputs >= 100 and cancelled == 270
 
 
 def test_ring_validation():

@@ -496,9 +496,11 @@ def test_negative_search_size_rejected(invoke, argv, stdin_text, flag):
     (["trinomial", "isotropy", "--replica-degree", "1"], SINGLE_JSON),
 ])
 def test_unread_flag_rejected(invoke, argv, stdin_text):
-    with pytest.raises(SystemExit) as exc:
-        invoke(argv, stdin_text)
-    assert exc.value.code == 2
+    code, out, err = invoke(argv, stdin_text)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["position"] is None
+    assert report["error"].startswith("unrecognized arguments: ")
 
 
 @pytest.mark.parametrize("argv,stdin_text,flag", [
@@ -684,5 +686,26 @@ def test_selftest_fault_localized(invoke):
 
 
 def test_unknown_subcommand_exits_nonzero(invoke):
-    with pytest.raises(SystemExit):
-        invoke(["cone", "frobnicate"])
+    code, out, err = invoke(["cone", "frobnicate"])
+    assert code == 2 and out == ""
+    assert "invalid choice: 'frobnicate'" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["trinomial", "lnds", "--format", "yaml"],
+    ["trinomial", "lnds", "--replica-degree", "x"],
+    ["trinomial", "lnds", "--bogus"],
+    ["trinomial"],
+    [],
+])
+def test_argparse_rejection_is_a_json_report_whatever_the_width(invoke, monkeypatch,
+                                                                 argv):
+    # argparse's own report is a usage text wrapped to COLUMNS
+    results = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        results.append(invoke(argv, SPLIT_JSON))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == 2 and out == ""
+    assert set(json.loads(err)) == {"error", "position"}

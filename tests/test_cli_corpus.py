@@ -15,12 +15,10 @@ belong in groups of their own, appended to `CASE_GROUPS`.
 
 import io
 import json
-import os
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest.mock import patch
 
 from lndkit.cli import main
 
@@ -152,13 +150,10 @@ def run_case(argv, stdin_text):
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
     try:
-        # argparse wraps its usage text to the terminal's width
-        with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), \
-                redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as stop:  # argparse rejects unknown flags this way
-                code = stop.code
+        # a rejected command line is reported as JSON too, whatever the
+        # terminal's width: no call may leave through SystemExit
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
     finally:
         sys.stdin = saved
     return {"argv": argv, "stdin": stdin_text, "code": code,
