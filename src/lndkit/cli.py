@@ -459,12 +459,14 @@ def cmd_exp(args) -> int:
     if any(w < 0 for w in weight):
         raise InputError("--weight entries must be nonnegative for a "
                          "polynomial argument", position="--weight")
-    series = exponential(deriv.derivation, Polynomial.monomial(weight),
-                         cap=args.cap)
+    # every later term of the series is reduced as it is built, so
+    # reducing the weight first leaves the whole series in normal form
+    series = exponential(deriv.derivation,
+                         ring.reduce(Polynomial.monomial(weight)), cap=args.cap)
     return _emit(args, {
         "label": deriv.label(),
         "param": "t",
-        "series": _poly_json(ring.reduce(series)),
+        "series": _poly_json(series),
         "weight": list(weight),
     })
 

@@ -63,7 +63,6 @@ class DualCone:
 class HilbertBasis:
     elements: LatticeMatrix
     complete: bool
-    bound: int
 
 
 def make_cone(rank: int, generators) -> Cone:
@@ -370,7 +369,7 @@ def hilbert_basis(cone: Cone, bound: int | None = None) -> HilbertBasis:
     needed = completeness_bound(cone)
     b = needed if bound is None else bound
     if not cone.rays:
-        return HilbertBasis(elements=(), complete=True, bound=b)
+        return HilbertBasis(elements=(), complete=True)
     dual = dual_cone(cone).generators
     points = [p for p in lattice_points([(d, 0) for d in dual], b) if any(p)]
     pairings = [tuple(sum(map(mul, p, d)) for d in dual) for p in points]
@@ -380,4 +379,4 @@ def hilbert_basis(cone: Cone, bound: int | None = None) -> HilbertBasis:
         if not any(all(a >= c for a, c in zip(px, pairings[j])) for j in kept):
             kept.append(i)
     elems = tuple(sorted(points[i] for i in kept))
-    return HilbertBasis(elements=elems, complete=b >= needed, bound=b)
+    return HilbertBasis(elements=elems, complete=b >= needed)

@@ -1,5 +1,5 @@
 """Exact integer lattice arithmetic: echelon and Smith forms, basis
-extension, quotients.
+extension, dual pairs, quotient presentations.
 
 Everything runs over Z with Python ints, so results are exact at any size.
 Matrices are tuples of row tuples and vectors are plain int tuples; both are
@@ -8,8 +8,9 @@ in the cocharacter lattice N, and ``pairing`` is the evaluation between them.
 
 There are two eliminations. ``row_reduce`` is a fraction-free echelon form,
 read for rank, determinant, integer adjugates and kernel vectors;
-``smith_normal_form`` gives invariant factors, the basis-extension test, dual pairs
-and the canonical class labels of ``LatticeQuotient``.
+``smith_normal_form`` gives invariant factors, which present
+``LatticeQuotient`` and decide the basis-extension test, and the transforms
+that ``solve_dual_pair`` reads.
 
 All transformation matrices returned here are unimodular (det = +-1), and
 every function is deterministic: identical input gives identical output,
@@ -65,10 +66,6 @@ def primitive_part(v: LatticeVector) -> LatticeVector:
     return tuple(x // g for x in v)
 
 
-def identity_matrix(n: int) -> LatticeMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def transpose(a: LatticeMatrix) -> LatticeMatrix:
     return tuple(zip(*a)) if a else ()
 
@@ -81,13 +78,6 @@ def mat_mul(a: LatticeMatrix, b: LatticeMatrix) -> LatticeMatrix:
 def mat_vec(a: LatticeMatrix, x: LatticeVector) -> LatticeVector:
     """a applied to the column vector x."""
     return tuple(sum(r * c for r, c in zip(row, x)) for row in a)
-
-
-def vec_mat(x: LatticeVector, a: LatticeMatrix) -> LatticeVector:
-    """Row vector x times a."""
-    if not a:
-        return ()
-    return tuple(sum(x[i] * a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
 def row_reduce(a):
@@ -151,116 +141,71 @@ class SmithDecomposition:
     invariant_factors: tuple[int, ...]
 
 
-def _min_abs_pivot(d, rows, cols, t):
-    # smallest nonzero |entry| in the trailing block; ties resolved row-major
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
 def smith_normal_form(a: LatticeMatrix) -> SmithDecomposition:
-    """Smith normal form with both transforms.
-
-    Pivot choice is the globally smallest nonzero absolute value in the
-    remaining block, row-major on ties, which keeps intermediate entries
-    small without ever leaving Z.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if any(len(r) != cols for r in a):
+    """Smith normal form with both transforms, by one elimination on the
+    augmented matrix [[A, I_m], [I_n, 0]]: row operations on its first m
+    rows carry U in the block right of A, and column operations on its
+    first n columns carry V in the block below A. The pivot is the smallest
+    nonzero |entry| of the remaining block, row-major on ties."""
+    m, n = len(a), len(a[0]) if a else 0
+    if any(len(r) != n for r in a):
         raise ValueError("ragged matrix")
-    d = [list(r) for r in a]
-    u = [list(r) for r in identity_matrix(rows)]
-    v = [list(r) for r in identity_matrix(cols)]
-
-    def row_sub(i, k, q):
-        # row i -= q * row k
-        for j in range(cols):
-            d[i][j] -= q * d[k][j]
-        for j in range(rows):
-            u[i][j] -= q * u[k][j]
+    # A, then the identity blocks: row i has its 1 in column i + n, cyclically
+    w = [list(r) + [0] * m for r in a] + [[0] * (n + m) for _ in range(n)]
+    for i in range(m + n):
+        w[i][(i + n) % (m + n)] = 1
 
     def col_sub(j, k, q):
-        # col j -= q * col k
-        for i in range(rows):
-            d[i][j] -= q * d[i][k]
-        for i in range(cols):
-            v[i][j] -= q * v[i][k]
-
-    def col_add(j, k):
-        for i in range(rows):
-            d[i][j] += d[i][k]
-        for i in range(cols):
-            v[i][j] += v[i][k]
+        # col j -= q * col k, through A and the V block
+        for row in w:
+            row[j] -= q * row[k]
 
     def clear_stage(t):
+        # move the pivot to (t, t) and reduce its column and row by it until
+        # both are clear; False when the remaining block is zero
         while True:
-            piv = _min_abs_pivot(d, rows, cols, t)
-            if piv is None:
+            piv = 0
+            for i in range(t, m):
+                for j in range(t, n):
+                    x = abs(w[i][j])
+                    if x and (x < piv or not piv):
+                        piv, pi, pj = x, i, j
+            if not piv:
                 return False
-            pi, pj = piv
-            if pi != t:
-                d[pi], d[t] = d[t], d[pi]
-                u[pi], u[t] = u[t], u[pi]
+            w[pi], w[t] = w[t], w[pi]
             if pj != t:
-                for row in d:
+                for row in w:
                     row[pj], row[t] = row[t], row[pj]
-                for row in v:
-                    row[pj], row[t] = row[t], row[pj]
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    row_sub(i, t, d[i][t] // d[t][t])
-                    if d[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    col_sub(j, t, d[t][j] // d[t][t])
-                    if d[t][j] != 0:
-                        dirty = True
-            if not dirty:
+            top, clear = w[t], True
+            for i in range(t + 1, m):
+                if w[i][t]:
+                    q = w[i][t] // top[t]
+                    w[i] = row = [x - q * y for x, y in zip(w[i], top)]
+                    clear = clear and not row[t]
+            for j in range(t + 1, n):
+                if top[j]:
+                    col_sub(j, t, top[j] // top[t])
+                    clear = clear and not top[j]
+            if clear:
                 return True
 
-    limit = min(rows, cols)
-    t = 0
-    while t < limit:
-        if not clear_stage(t):
-            break
-        t += 1
-    r = t
-
-    # enforce the divisibility chain; a failed pair pulls the next column in
-    # and the stage is cleared again
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            if d[i + 1][i + 1] % d[i][i] != 0:
-                col_add(i, i + 1)
-                t = i
-                while t < r:
-                    clear_stage(t)
-                    t += 1
-                changed = True
-                break
-
+    r = 0
+    while r < min(m, n) and clear_stage(r):
+        r += 1
+    # enforce the divisibility chain: the first pair that fails pulls the
+    # next column in, and the stages from there on are cleared again
+    while (i := next((i for i in range(r - 1) if w[i + 1][i + 1] % w[i][i]),
+                     None)) is not None:
+        col_sub(i, i + 1, -1)
+        for t in range(i, r):
+            clear_stage(t)
     for i in range(r):
-        if d[i][i] < 0:
-            for j in range(cols):
-                d[i][j] = -d[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
-
-    dd = tuple(tuple(row) for row in d)
-    return SmithDecomposition(
-        u=tuple(tuple(row) for row in u),
-        d=dd,
-        v=tuple(tuple(row) for row in v),
-        invariant_factors=tuple(dd[i][i] for i in range(r)),
-    )
+        if w[i][i] < 0:
+            w[i] = [-x for x in w[i]]
+    return SmithDecomposition(u=tuple(tuple(row[n:]) for row in w[:m]),
+                              d=tuple(tuple(row[:n]) for row in w[:m]),
+                              v=tuple(tuple(row[:n]) for row in w[m:]),
+                              invariant_factors=tuple(w[i][i] for i in range(r)))
 
 
 def extends_to_basis(vectors) -> bool:
@@ -314,12 +259,8 @@ class QuasitorusPresentation:
 
 
 class LatticeQuotient:
-    """Finitely generated abelian group Z^rank / <rows of relations>.
-
-    Element classes are labelled canonically through the Smith transform:
-    the label lists the coordinates in the torsion summands with modulus
-    above 1 first, then the free coordinates.
-    """
+    """Finitely generated abelian group Z^rank / <rows of relations>,
+    presented by the invariant factors of the relation rows."""
 
     def __init__(self, rank: int, relations=()):
         rels = tuple(tuple(r) for r in relations)
@@ -328,31 +269,10 @@ class LatticeQuotient:
                 raise ValueError("relation length does not match rank")
         self.rank = rank
         self.relations = rels
-        if rels:
-            dec = smith_normal_form(rels)
-            self._v = dec.v
-            invf = dec.invariant_factors
-        else:
-            self._v = identity_matrix(rank)
-            invf = ()
+        invf = smith_normal_form(rels).invariant_factors
         self.invariant_factors = invf
         self.free_rank = rank - len(invf)
         self.torsion = tuple(f for f in invf if f != 1)
-
-    def degree(self, x: LatticeVector) -> tuple[int, ...]:
-        """Canonical label of the class of x."""
-        if len(x) != self.rank:
-            raise ValueError("vector length does not match rank")
-        y = vec_mat(x, self._v)
-        label = []
-        for i, f in enumerate(self.invariant_factors):
-            if f != 1:
-                label.append(y[i] % f)
-        label.extend(y[len(self.invariant_factors):])
-        return tuple(label)
-
-    def same_class(self, x: LatticeVector, y: LatticeVector) -> bool:
-        return self.degree(x) == self.degree(y)
 
 
 def quasitorus_kernel(quotient: LatticeQuotient, d: LatticeVector) -> QuasitorusPresentation:

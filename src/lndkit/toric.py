@@ -38,12 +38,10 @@ from .errors import RefusalError, SearchBoundExceeded
 from .lattice import (
     LatticeVector,
     QuasitorusPresentation,
-    LatticeQuotient,
     extends_to_basis,
     mat_mul,
     mat_vec,
     pairing,
-    quasitorus_kernel,
     row_reduce,
     solve_dual_pair,
     transpose,
@@ -227,7 +225,6 @@ def is_maximal(cone: Cone, root: DemazureRoot) -> MaximalityVerdict:
 
 @dataclass(frozen=True)
 class KernelDescription:
-    ray: LatticeVector
     generators: tuple
     complete: bool
 
@@ -249,8 +246,7 @@ def kernel_of_root(cone: Cone, root: DemazureRoot,
                                  if pairing(d, root.ray) == 0))
     hb = hilbert_basis(face, bound)
     assert all(pairing(m, root.ray) == 0 for m in hb.elements)
-    return KernelDescription(ray=root.ray, generators=hb.elements,
-                             complete=hb.complete)
+    return KernelDescription(generators=hb.elements, complete=hb.complete)
 
 
 def find_local_slice(cone: Cone, root: DemazureRoot, cap: int = 64) -> LatticeVector:
@@ -283,12 +279,10 @@ def find_local_slice(cone: Cone, root: DemazureRoot, cap: int = 64) -> LatticeVe
 
 def isotropy_torus(cone: Cone, root: DemazureRoot) -> QuasitorusPresentation:
     """The subtorus acting trivially on the derivation: the kernel of the
-    root character inside the big torus. Always connected of corank one,
-    since a root is primitive."""
-    free = LatticeQuotient(cone.rank, ())
-    pres = quasitorus_kernel(free, root.vector)
-    assert pres.free_rank == cone.rank - 1 and not pres.torsion
-    return pres
+    root character inside the big torus. A root pairs to -1 with its ray,
+    so it is primitive, and the kernel of a primitive character is a
+    connected torus of corank one."""
+    return QuasitorusPresentation(cone.rank - 1, ())
 
 
 @dataclass(frozen=True)

@@ -351,7 +351,6 @@ class SymmetryFactor:
 class TrinomialSymmetries:
     order: int
     factors: tuple
-    moved: tuple
 
 
 def symmetry_factors(shape: TrinomialShape,
@@ -381,10 +380,10 @@ def symmetry_factors(shape: TrinomialShape,
             return "y"
         return "z"
 
-    moved = [v for v in range(n) if v not in (deriv.x_index, deriv.z_index)]
+    others = [v for v in range(n) if v not in (deriv.x_index, deriv.z_index)]
     rel = ring.l1 + ring.l2
     classes = {}
-    for v in moved:
+    for v in others:
         classes.setdefault((role(v), rel[v], h[v], h2[v]), []).append(v)
     factors = tuple(SymmetryFactor(variables=tuple(vs), size=len(vs))
                     for _, vs in sorted(classes.items(),
@@ -392,8 +391,7 @@ def symmetry_factors(shape: TrinomialShape,
     order = 1
     for f in factors:
         order *= factorial(f.size)
-    return TrinomialSymmetries(order=order, factors=factors,
-                               moved=tuple(moved))
+    return TrinomialSymmetries(order=order, factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +412,6 @@ EXTERNAL_REFERENCE_VALUES = {
 
 @dataclass(frozen=True)
 class TrinomialIsotropyReport:
-    shape: TrinomialShape
     derivation: TrinomialDerivation
     maximality: TrinomialMaximality
     symmetries: TrinomialSymmetries
@@ -458,7 +455,10 @@ def trinomial_isotropy_report(ring: TrinomialRing, x_index: int | None = None,
     symmetries = symmetry_factors(shape, deriv)
     grading = grading_group(ring)
     lifts = derivation_degree(shape, deriv)
-    assert grading.same_class(lifts[0], lifts[1])
+    # the x-lift, at -1 on x_index, sorts first; the lifts agree in the
+    # grading group, since the z-lift minus the x-lift is the l1 row minus
+    # the l2 row
+    assert vec_sub(lifts[1], lifts[0]) == vec_sub(*grading.relations)
     quasitorus = quasitorus_kernel(grading, lifts[0])
 
     discrepancies = []
@@ -479,7 +479,7 @@ def trinomial_isotropy_report(ring: TrinomialRing, x_index: int | None = None,
                                       "reference": ref[field]})
 
     return TrinomialIsotropyReport(
-        shape=shape, derivation=deriv, maximality=verdict,
+        derivation=deriv, maximality=verdict,
         symmetries=symmetries, quasitorus=quasitorus,
         grading=grading, degree_lifts=lifts,
         discrepancies=tuple(discrepancies))

@@ -23,6 +23,7 @@ from lndkit.errors import RefusalError, SearchBoundExceeded
 from lndkit.lattice import (
     LatticeMatrix,
     LatticeVector,
+    SmithDecomposition,
     determinant,
     is_zero_vector,
     mat_mul,
@@ -34,7 +35,6 @@ from lndkit.lattice import (
     solve_dual_pair,
     transpose,
     vec_add,
-    vec_mat,
     vec_scale,
     vec_sub,
 )
@@ -589,3 +589,151 @@ def level_class_symmetries(cone: Cone, root: DemazureRoot,
     found.sort()
     return SemigroupSymmetries(order=len(found), matrices=tuple(found),
                                basis=elems)
+
+
+def vec_mat(x: LatticeVector, a: LatticeMatrix) -> LatticeVector:
+    """Row vector x times a."""
+    if not a:
+        return ()
+    return tuple(sum(x[i] * a[i][j] for i in range(len(a))) for j in range(len(a[0])))
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form and quotient labels
+
+
+def _min_abs_pivot(d, rows, cols, t):
+    # smallest nonzero |entry| in the trailing block; ties resolved row-major
+    best = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def smith_by_mirrored_updates(a: LatticeMatrix) -> SmithDecomposition:
+    """Smith normal form with both transforms, by the loop that updates D,
+    U and V side by side: every row operation on D is repeated on U and
+    every column operation on V.
+
+    The pivot rule (smallest nonzero |entry| of the remaining block,
+    row-major on ties), the stage clearing, the divisibility fix-up and the
+    sign step are those of ``lattice.smith_normal_form``, in the same
+    order, so the two agree entry for entry.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if any(len(r) != cols for r in a):
+        raise ValueError("ragged matrix")
+    d = [list(r) for r in a]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def row_sub(i, k, q):
+        # row i -= q * row k
+        for j in range(cols):
+            d[i][j] -= q * d[k][j]
+        for j in range(rows):
+            u[i][j] -= q * u[k][j]
+
+    def col_sub(j, k, q):
+        # col j -= q * col k
+        for i in range(rows):
+            d[i][j] -= q * d[i][k]
+        for i in range(cols):
+            v[i][j] -= q * v[i][k]
+
+    def col_add(j, k):
+        for i in range(rows):
+            d[i][j] += d[i][k]
+        for i in range(cols):
+            v[i][j] += v[i][k]
+
+    def clear_stage(t):
+        while True:
+            piv = _min_abs_pivot(d, rows, cols, t)
+            if piv is None:
+                return False
+            pi, pj = piv
+            if pi != t:
+                d[pi], d[t] = d[t], d[pi]
+                u[pi], u[t] = u[t], u[pi]
+            if pj != t:
+                for row in d:
+                    row[pj], row[t] = row[t], row[pj]
+                for row in v:
+                    row[pj], row[t] = row[t], row[pj]
+            dirty = False
+            for i in range(t + 1, rows):
+                if d[i][t] != 0:
+                    row_sub(i, t, d[i][t] // d[t][t])
+                    if d[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if d[t][j] != 0:
+                    col_sub(j, t, d[t][j] // d[t][t])
+                    if d[t][j] != 0:
+                        dirty = True
+            if not dirty:
+                return True
+
+    limit = min(rows, cols)
+    t = 0
+    while t < limit:
+        if not clear_stage(t):
+            break
+        t += 1
+    r = t
+
+    # enforce the divisibility chain; a failed pair pulls the next column in
+    # and the stage is cleared again
+    changed = True
+    while changed:
+        changed = False
+        for i in range(r - 1):
+            if d[i + 1][i + 1] % d[i][i] != 0:
+                col_add(i, i + 1)
+                t = i
+                while t < r:
+                    clear_stage(t)
+                    t += 1
+                changed = True
+                break
+
+    for i in range(r):
+        if d[i][i] < 0:
+            for j in range(cols):
+                d[i][j] = -d[i][j]
+            for j in range(rows):
+                u[i][j] = -u[i][j]
+
+    dd = tuple(tuple(row) for row in d)
+    return SmithDecomposition(
+        u=tuple(tuple(row) for row in u),
+        d=dd,
+        v=tuple(tuple(row) for row in v),
+        invariant_factors=tuple(dd[i][i] for i in range(r)),
+    )
+
+
+def quotient_label(rank: int, relations, x: LatticeVector) -> tuple:
+    """Canonical label of the class of x in Z^rank / <relations>.
+
+    With U R V = D the Smith form of the relation rows, x V has, in the
+    basis of the columns of V, the coordinates y_i modulo the invariant
+    factors d_i and free coordinates past them. The label lists y_i mod d_i
+    for each d_i above 1, then the free coordinates, so two vectors share a
+    label exactly when their difference lies in the row span.
+    """
+    if len(x) != rank:
+        raise ValueError("vector length does not match rank")
+    rels = tuple(tuple(r) for r in relations)
+    if rels:
+        dec = smith_by_mirrored_updates(rels)
+        v, invf = dec.v, dec.invariant_factors
+    else:
+        v, invf = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank)), ()
+    y = vec_mat(x, v)
+    label = [y[i] % f for i, f in enumerate(invf) if f != 1]
+    return tuple(label) + y[len(invf):]

@@ -609,7 +609,7 @@ def test_hilbert_square_dual_golden():
     c = C.make_cone(3, SQUARE_DUAL_GENS)
     hb = C.hilbert_basis(c)
     assert hb.complete
-    assert hb.bound == 5
+    assert C.completeness_bound(c) == 5
     assert hb.elements == tuple(sorted(SQUARE_DUAL_GENS))
 
 
@@ -656,7 +656,7 @@ def test_hilbert_random_against_oracle():
         for bound in (C.completeness_bound(c) // 2, None):
             hb = C.hilbert_basis(c, bound)
             assert hb.complete == (bound is None)
-            pts = box_points(c, hb.bound)
+            pts = box_points(c, C.completeness_bound(c) if bound is None else bound)
             assert set(hb.elements) <= set(pts)
             # independent irreducibility scan
             irred = [p for p in pts

@@ -4,7 +4,8 @@ A function, class or method that only tests call belongs in the tests: as
 a reference implementation in ``oracles.py``, or nowhere. A name counts as
 called when lndkit itself or the benchmark harness in ``perfbench/``
 refers to it: a module-level name by name, import or attribute, a method
-by attribute.
+by attribute. A public dataclass field counts as read when one of them
+loads an attribute of that name.
 """
 
 import ast
@@ -54,6 +55,47 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 if name not in attrs and (is_method or name not in names)]
     assert len(src) > 5
     assert not uncalled, "called only from tests: " + ", ".join(uncalled)
+
+
+def dataclass_fields(tree):
+    """(class name, field name) of the public fields of each module-level
+    dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                (dec.func if isinstance(dec, ast.Call) else dec).id == "dataclass"
+                for dec in node.decorator_list):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign) and not sub.target.id.startswith("_"):
+                    yield node.name, sub.target.id
+
+
+def attributes_read(trees):
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    # a field that only tests read is a result nobody asked for; like a
+    # method, it is matched by its bare name, so a field that shares its
+    # name with an attribute read elsewhere passes unseen
+    src = parse_all(ROOT / "src" / "lndkit")
+    read = attributes_read(list(src.values())
+                           + list(parse_all(ROOT / "perfbench").values()))
+    fields = [(module, cls, name) for module, tree in src.items()
+              for cls, name in dataclass_fields(tree)]
+    assert len(fields) > 40
+    unread = [f"{module}:{cls}.{name}" for module, cls, name in fields
+              if name not in read]
+    assert not unread, "fields no module reads: " + ", ".join(unread)
+
+
+def test_an_unread_dataclass_field_is_reported():
+    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
+                     "@dataclass\nclass B:\n    z: int\n    _w: int\n"
+                     "class C:\n    v: int\n")
+    assert list(dataclass_fields(tree)) == [("A", "x"), ("A", "y"), ("B", "z")]
+    read = attributes_read([tree, ast.parse("a.x = 1\nprint(a.y, b.w)\n")])
+    assert [f for _, f in dataclass_fields(tree) if f not in read] == ["x", "z"]
 
 
 # The check above matches a method by its bare name and exempts dunders. So

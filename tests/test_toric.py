@@ -14,7 +14,15 @@ import pytest
 from lndkit.algebra import MonomialShiftDerivation, Polynomial, commutator_vanishes_on
 from lndkit.cone import Cone, adjacency_set, dual_cone, hilbert_basis, is_pointed, make_cone
 from lndkit.errors import RefusalError, SearchBoundExceeded
-from lndkit.lattice import determinant, matrix_rank, pairing, vec_add, vec_mat, vec_scale
+from lndkit.lattice import (
+    LatticeQuotient,
+    determinant,
+    matrix_rank,
+    pairing,
+    quasitorus_kernel,
+    vec_add,
+    vec_scale,
+)
 from lndkit.toric import (
     DemazureRoot,
     construct_commuting_pair,
@@ -36,6 +44,7 @@ from oracles import (
     level_class_symmetries,
     partner_root_by_walk,
     rational_inverse,
+    vec_mat,
 )
 
 # rays in canonical (lex) order: index 0 is the distinguished ray of the
@@ -599,6 +608,17 @@ def test_isotropy_torus_presentation():
     root = require_root(SQUARE, SQUARE_ROOT)
     pres = isotropy_torus(SQUARE, root)
     assert pres.free_rank == 2 and pres.torsion == ()
+    # the closed form is the kernel of the root character in the big torus,
+    # on every root of the symmetry sweep's cones
+    rng = random.Random(4)
+    checked = 0
+    for i in range(12):
+        cone = random_cone(rng, 2 + i % 3, entry=1)
+        for root in enumerate_roots(cone, 2):
+            kernel = quasitorus_kernel(LatticeQuotient(cone.rank, ()), root.vector)
+            assert isotropy_torus(cone, root) == kernel
+            checked += 1
+    assert checked > 200
 
 
 # ---------------------------------------------------------------------------
