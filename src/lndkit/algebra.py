@@ -149,20 +149,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            cur = out.get(exp)
-            out[exp] = c if cur is None else cur + c
-        return Polynomial(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            cur = out.get(exp)
-            out[exp] = -c if cur is None else cur - c
-        return Polynomial(out)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented

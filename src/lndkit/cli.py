@@ -172,16 +172,16 @@ def _text_lines(value, indent=0):
         out = []
         for k in sorted(value):
             v = value[k]
-            if isinstance(v, (dict, list)) and v and not _flat(v):
+            if isinstance(v, (dict, list, tuple)) and v and not _flat(v):
                 out.append("{}{}:".format(pad, k))
                 out.extend(_text_lines(v, indent + 1))
             else:
                 out.append("{}{}: {}".format(pad, k, _scalar(v)))
         return out
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         out = []
         for v in value:
-            if isinstance(v, (dict, list)) and v and not _flat(v):
+            if isinstance(v, (dict, list, tuple)) and v and not _flat(v):
                 out.append("{}-".format(pad))
                 out.extend(_text_lines(v, indent + 1))
             else:
@@ -191,8 +191,8 @@ def _text_lines(value, indent=0):
 
 
 def _flat(v):
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
+    if isinstance(v, (list, tuple)):
+        return all(not isinstance(x, (dict, list, tuple)) for x in v)
     return False
 
 
@@ -201,7 +201,7 @@ def _scalar(v):
         return "true" if v else "false"
     if v is None:
         return "null"
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         return "[{}]".format(", ".join(_scalar(x) for x in v))
     return str(v)
 
@@ -399,11 +399,7 @@ def cmd_trinomial_isotropy(args) -> int:
                                        z_index=z_index, replica=replica)
     return _emit(args, {
         "degree_lifts": [list(l) for l in report.degree_lifts],
-        "discrepancies": [
-            {"computed": _scalar_tuple(d["computed"]),
-             "field": d["field"],
-             "reference": _scalar_tuple(d["reference"])}
-            for d in report.discrepancies],
+        "discrepancies": list(report.discrepancies),
         "grading": {"invariant_factors": list(report.grading.invariant_factors),
                     "rank": report.grading.free_rank,
                     "torsion": list(report.grading.torsion)},
@@ -416,10 +412,6 @@ def cmd_trinomial_isotropy(args) -> int:
                              for f in report.symmetries.factors],
         "symmetry_order": report.symmetries.order,
     })
-
-
-def _scalar_tuple(v):
-    return list(v) if isinstance(v, tuple) else v
 
 
 # ---------------------------------------------------------------------------

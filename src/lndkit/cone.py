@@ -6,8 +6,8 @@ algorithm serves every question: a double description pass that carries
 the lineality space of the dual explicitly (Fukuda-Prodon, *Double
 description method revisited*, 1996). Its cached output decides the rays
 that ``make_cone`` keeps, pointedness, the dual and its faces as cones by
-exact rank tests, two-face adjacency and the functional that partner roots
-walk along, by summing the dual generators on a face.
+exact rank tests, and the two-face functional, a sum of the dual generators
+on a face, which decides adjacency and shifts the partner roots of ``toric``.
 The box scan ``lattice_points``, behind root enumeration, local slices and
 Hilbert bases, pairs rows the same way, over the integers, to eliminate
 its last coordinate exactly. There is no floating point anywhere and no
@@ -28,7 +28,6 @@ from .errors import RefusalError
 from .lattice import (
     LatticeMatrix,
     LatticeVector,
-    extends_to_basis,
     is_zero_vector,
     matrix_rank,
     pairing,
@@ -230,31 +229,6 @@ def two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
     if all(pairing(omega, r) > 0 for r in cone.rays if r not in (v, vp)):
         return omega
     return None
-
-
-def two_face_adjacent(cone: Cone, v: LatticeVector, vp: LatticeVector) -> bool:
-    """Whether the rays v and vp span a common two-dimensional face: whether
-    ``two_face_functional`` exists, read off the cached double description
-    on every cone, pointed or not."""
-    return two_face_functional(cone, v, vp) is not None
-
-
-def adjacency_set(cone: Cone, v: LatticeVector) -> LatticeMatrix:
-    """Rays spanning a two-face with v whose pair {v, ray} extends to a basis.
-
-    Both conditions together are what the commuting-pair construction needs,
-    so this is the neighbour set every maximality question ranges over.
-    """
-    v = tuple(v)
-    if v not in cone.rays:
-        raise ValueError("argument must be a ray of the cone")
-    out = []
-    for r in cone.rays:
-        if r == v:
-            continue
-        if two_face_adjacent(cone, v, r) and extends_to_basis([v, r]):
-            out.append(r)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

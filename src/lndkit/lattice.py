@@ -1,5 +1,5 @@
-"""Exact integer lattice arithmetic: echelon and Smith forms, basis
-extension, dual pairs, quotient presentations.
+"""Exact integer lattice arithmetic: echelon and Smith forms, dual pairs,
+quotient presentations.
 
 Everything runs over Z with Python ints, so results are exact at any size.
 Matrices are tuples of row tuples and vectors are plain int tuples; both are
@@ -9,8 +9,7 @@ in the cocharacter lattice N, and ``pairing`` is the evaluation between them.
 There are two eliminations. ``row_reduce`` is a fraction-free echelon form,
 read for rank, determinant, integer adjugates and kernel vectors;
 ``smith_normal_form`` gives invariant factors, which present
-``LatticeQuotient`` and decide the basis-extension test, and the transforms
-that ``solve_dual_pair`` reads.
+``LatticeQuotient``, and the transforms that ``solve_dual_pair`` reads.
 
 All transformation matrices returned here are unimodular (det = +-1), and
 every function is deterministic: identical input gives identical output,
@@ -208,46 +207,23 @@ def smith_normal_form(a: LatticeMatrix) -> SmithDecomposition:
                               invariant_factors=tuple(w[i][i] for i in range(r)))
 
 
-def extends_to_basis(vectors) -> bool:
-    """Whether the given rows are part of some Z-basis of the ambient lattice.
-
-    Equivalent to the gcd of all maximal minors being 1, which is exactly
-    the invariant factors of the stacked matrix being all 1.
-    """
-    vs = tuple(tuple(v) for v in vectors)
-    if not vs:
-        return True
-    k = len(vs)
-    n = len(vs[0])
-    if k > n:
-        return False
-    invf = smith_normal_form(vs).invariant_factors
-    return len(invf) == k and all(f == 1 for f in invf)
-
-
 def solve_dual_pair(v: LatticeVector, vp: LatticeVector):
-    """Characters (e, ep) with <e,v> = -1, <e,vp> = 0, <ep,v> = 0, <ep,vp> = -1.
+    """A character e with <e, v> = -1 and <e, vp> = 0, or None.
 
-    Exists iff the pair {v, vp} extends to a basis of N; returns None otherwise.
+    It exists iff the pair {v, vp} extends to a basis of N, i.e. iff both
+    invariant factors of the stacked pair are 1: then U (v; vp) V = (I | 0)
+    and e = V (U (-1, 0), 0, ..., 0) solves (v; vp) e = (-1, 0).
     """
     n = len(v)
     if len(vp) != n:
         raise ValueError("mismatched lengths")
-    stacked = (tuple(v), tuple(vp))
-    dec = smith_normal_form(stacked)
+    dec = smith_normal_form((tuple(v), tuple(vp)))
     if dec.invariant_factors != (1, 1):
         return None
-
-    def solve(b):
-        ub = mat_vec(dec.u, b)
-        y = (ub[0], ub[1]) + (0,) * (n - 2)
-        return mat_vec(dec.v, y)
-
-    e = solve((-1, 0))
-    ep = solve((0, -1))
+    ub = mat_vec(dec.u, (-1, 0))
+    e = mat_vec(dec.v, (ub[0], ub[1]) + (0,) * (n - 2))
     assert pairing(e, v) == -1 and pairing(e, vp) == 0
-    assert pairing(ep, v) == 0 and pairing(ep, vp) == -1
-    return e, ep
+    return e
 
 
 @dataclass(frozen=True)

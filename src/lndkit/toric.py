@@ -5,7 +5,8 @@ and cross-checkable symbolically: a root character e with pairing -1
 against one ray and nonnegative pairings against the rest gives the
 derivation chi^m -> <m, ray> chi^(m + e), and questions about commuting,
 equivalence and maximality reduce to exact pairing conditions between
-roots and the two-face adjacency structure of the cone.
+roots and neighbour rays, which span a two-face with the root's ray and
+extend it to a lattice basis.
 
 Refusals are always explicit: a non-pointed cone, a character that is not
 a root, or a search that would need to run past its cap raise typed
@@ -25,20 +26,17 @@ from .algebra import (
 )
 from .cone import (
     Cone,
-    adjacency_set,
     dual_as_cone,
     hilbert_basis,
     is_pointed,
     lattice_points,
     lineality_witness,
-    two_face_adjacent,
     two_face_functional,
 )
 from .errors import RefusalError, SearchBoundExceeded
 from .lattice import (
     LatticeVector,
     QuasitorusPresentation,
-    extends_to_basis,
     mat_mul,
     mat_vec,
     pairing,
@@ -146,20 +144,30 @@ def roots_equivalent(a: DemazureRoot, b: DemazureRoot) -> bool:
     return a.ray == b.ray
 
 
-def _partner_root(cone: Cone, vp: LatticeVector, v: LatticeVector) -> DemazureRoot:
-    """A root on the ray vp that annihilates v.
+def _neighbour(cone: Cone, vp: LatticeVector, v: LatticeVector):
+    """(base, omega) when the rays vp and v are neighbours, else None.
 
-    The caller passes a neighbour pair: two-face adjacent and basis
-    extending. The dual pair gives base, pairing -1 with vp and 0 with v;
-    the two-face functional omega pairs 0 with both and at least 1 with
-    every other ray r. So base + k omega is a root exactly when
-    k >= -(<base, r> // <omega, r>) for every such r, and the least such
-    k >= 0 gives the minimal shift along the two-face.
+    Neighbours span a two-face, so the two-face functional omega exists,
+    and extend to a basis, so the dual pair gives base, pairing -1 with vp
+    and 0 with v. The functional is read off the cached double description,
+    so it is asked first and the Smith elimination only for adjacent rays.
     """
-    pair = solve_dual_pair(vp, v)
     omega = two_face_functional(cone, vp, v)
-    assert pair is not None and omega is not None, "not a neighbour pair"
-    base = pair[0]
+    if omega is None:
+        return None
+    base = solve_dual_pair(vp, v)
+    return None if base is None else (base, omega)
+
+
+def _partner_root(cone: Cone, vp: LatticeVector, v: LatticeVector,
+                  base: LatticeVector, omega: LatticeVector) -> DemazureRoot:
+    """A root on the ray vp that annihilates v, for a neighbour pair.
+
+    base pairs -1 with vp and 0 with v; omega pairs 0 with both and at
+    least 1 with every other ray r. So base + k omega is a root exactly
+    when k >= -(<base, r> // <omega, r>) for every such r, and the least
+    such k >= 0 gives the minimal shift along the two-face.
+    """
     k = max([0, *(-(pairing(base, r) // pairing(omega, r))
                   for r in cone.rays if r != vp and r != v)])
     root = is_demazure_root(cone, vec_add(base, vec_scale(k, omega)))
@@ -171,23 +179,24 @@ def construct_commuting_pair(cone: Cone):
     """A commuting inequivalent pair of root derivations, or a refusal.
 
     The first ray pair (in canonical order) that is two-face adjacent and
-    extends to a basis carries the construction.
+    extends to a basis carries the construction. The pair shares its
+    two-face functional, but each root needs its own dual character.
     """
     _require_pointed(cone)
     failures = []
     for i, v in enumerate(cone.rays):
         for vp in cone.rays[i + 1:]:
-            adjacent = two_face_adjacent(cone, v, vp)
-            extends = extends_to_basis([v, vp])
-            if adjacent and extends:
-                first = _partner_root(cone, v, vp)
-                second = _partner_root(cone, vp, v)
+            omega = two_face_functional(cone, v, vp)
+            base = solve_dual_pair(v, vp)
+            if omega is not None and base is not None:
+                first = _partner_root(cone, v, vp, base, omega)
+                second = _partner_root(cone, vp, v, solve_dual_pair(vp, v), omega)
                 assert lnds_commute(first, second)
                 assert not roots_equivalent(first, second)
                 return first, second
             failures.append({"rays": [list(v), list(vp)],
-                             "two_face_adjacent": adjacent,
-                             "extends_to_basis": extends})
+                             "two_face_adjacent": omega is not None,
+                             "extends_to_basis": base is not None})
     raise RefusalError(
         "no ray pair is both two-face adjacent and basis extending, "
         "so commuting inequivalent derivations do not exist",
@@ -209,10 +218,13 @@ def is_maximal(cone: Cone, root: DemazureRoot) -> MaximalityVerdict:
     one of them.
     """
     _require_pointed(cone)
-    neighbours = adjacency_set(cone, root.ray)
-    for vp in neighbours:
+    v = root.ray
+    pairs = {vp: pair for vp in cone.rays
+             if vp != v and (pair := _neighbour(cone, vp, v)) is not None}
+    neighbours = tuple(pairs)
+    for vp, (base, omega) in pairs.items():
         if pairing(root.vector, vp) == 0:
-            partner = _partner_root(cone, vp, root.ray)
+            partner = _partner_root(cone, vp, v, base, omega)
             assert lnds_commute(root, partner)
             return MaximalityVerdict(maximal=False, witness=partner,
                                      neighbours=neighbours)
@@ -324,8 +336,8 @@ def s_delta(cone: Cone, root: DemazureRoot, perm_cap: int = 40320) -> SemigroupS
       permutes that semigroup's unique Hilbert basis.
     """
     _require_pointed(cone)
-    hb = hilbert_basis(dual_as_cone(cone))
-    assert hb.complete
+    # refuses a lower-dimensional cone before the cap is checked
+    dual = dual_as_cone(cone)
     rays = cone.rays
     n = cone.rank
     levels = {}
@@ -335,6 +347,9 @@ def s_delta(cone: Cone, root: DemazureRoot, perm_cap: int = 40320) -> SemigroupS
     if prod(factorial(len(c)) for c in classes) > perm_cap:
         raise SearchBoundExceeded(
             "too many level-preserving ray permutations", cap=perm_cap)
+    # the basis is only reported, so a refusal above never pays for it
+    hb = hilbert_basis(dual)
+    assert hb.complete
 
     # the pivot columns of the rays written as columns span N, since a
     # cone whose dual has a Hilbert basis is full-dimensional; [R_S | I]

@@ -281,6 +281,15 @@ def fm_two_face_functional(cone: Cone, v: LatticeVector, vp: LatticeVector):
 # polynomials and derivations
 
 
+def poly_add(p: Polynomial, q: Polynomial, sign: int = 1) -> Polynomial:
+    """p + sign q, term by term: p - q with sign -1."""
+    out = dict(p.terms)
+    for exp, c in q.terms.items():
+        cur = out.get(exp)
+        out[exp] = c * sign if cur is None else cur + c * sign
+    return Polynomial(out)
+
+
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
     """The product p q, term by term. Terms of unequal length raise
     ValueError, where adding their exponents would truncate to the shorter."""
@@ -524,11 +533,11 @@ def partner_root_by_walk(cone: Cone, vp: LatticeVector, v: LatticeVector,
     for k = 0, 1, ... until one is a root; the first hit is the minimal
     shift. Refused past ``cap`` steps.
     """
-    pair = solve_dual_pair(vp, v)
+    base = solve_dual_pair(vp, v)
     omega = two_face_functional(cone, vp, v)
-    assert pair is not None and omega is not None, "not a neighbour pair"
+    assert base is not None and omega is not None, "not a neighbour pair"
     for k in range(cap + 1):
-        root = is_demazure_root(cone, vec_add(pair[0], vec_scale(k, omega)))
+        root = is_demazure_root(cone, vec_add(base, vec_scale(k, omega)))
         if root is not None:
             assert root.ray == vp and pairing(root.vector, v) == 0
             return root, k

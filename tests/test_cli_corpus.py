@@ -11,13 +11,11 @@ again and lists the calls that changed. To record the file again:
 The cases come in groups, one function per group in `CASE_GROUPS`:
 `trinomial_cases`, `cone_cases` and `selftest_cases`. They cover every
 subcommand of `cone` and `trinomial` in both output forms, `selftest` with
-and without its injected fault, each refusal and malformed input. Two
-refusals are left out because no input that reaches them answers within
-0.5 s: `cone isotropy` on the six-ray cone of `test_cli.py`, whose dual
-Hilbert basis takes seconds, and the cap on level-preserving ray
-permutations, which needs a cone with many rays at one level (the smallest
-found, a hexagonal prism with an apex, takes about 0.5 s for the same
-basis). `test_toric.py` reaches that cap through `s_delta`'s `perm_cap`.
+and without its injected fault, each refusal and malformed input. The cap
+on level-preserving ray permutations is reached on a hexagonal prism with
+an apex, whose rays at one level are too many to permute. One call is left
+out because it does not answer within 0.5 s: `cone isotropy` on the
+six-ray cone of `test_cli.py`, whose dual Hilbert basis takes seconds.
 """
 
 import io
@@ -157,6 +155,12 @@ README_CONE_CALLS = (
     (["cone", "maximal", "--root", "-1,0,0"], NAMED_CONES[9]),
 )
 
+# a hexagonal prism with an apex: the root's level classes hold 6, 6 and 1
+# rays, so 6! 6! level-preserving permutations exceed the cap
+_HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+PRISM = (4, tuple((a, b, h, 1) for h in (0, 1) for a, b in _HEXAGON) + ((0, 0, -1, 1),))
+
+
 def _cone_json(rank, rays):
     return json.dumps({"rank": rank, "rays": [list(r) for r in rays]})
 
@@ -233,7 +237,8 @@ def cone_cases(seed=23):
     on each pointed cone, roots in the box of radius 2, then maximal,
     kernel and isotropy on a few of those roots, and commute on a few
     pairs; on each non-pointed cone, every subcommand's refusal; then the
-    README calls, the odd cones and the malformed calls."""
+    README calls, the odd cones, the malformed calls and the prism's
+    permutation cap."""
     rng = random.Random(seed)
     cases = []
     for rank, rays in NAMED_CONES + tuple(_random_cones(rng, 8)):
@@ -268,6 +273,8 @@ def cone_cases(seed=23):
         cases += [[["cone", "roots", "--bound", "1"], stdin],
                   [["cone", "maximal", "--root", _vec((-1,) + (0,) * (rank - 1))], stdin]]
     cases += [[argv, stdin] for argv, stdin in MALFORMED_CONE]
+    cases += [[["cone", "isotropy", "--root", "0,0,1,0"] + fmt, _cone_json(*PRISM)]
+              for fmt in FORMATS]
     return cases
 
 
@@ -363,7 +370,7 @@ def test_cli_corpus_draws_the_recorded_calls():
             if r["argv"][0] == "cone" and r["code"] == 0} == {
         (sub, text) for sub in ("roots", "maximal", "commute", "kernel", "isotropy")
         for text in (False, True)}
-    assert len(_refusals(recorded, "cone")) == 5
+    assert len(_refusals(recorded, "cone")) == 6
     # non-maximal roots, whose witnesses come from a dual pair
     assert sum(r["argv"][:2] == ["cone", "maximal"] and r["code"] == 0
                and json.loads(r["stdout"])["witness"] is not None

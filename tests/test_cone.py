@@ -8,6 +8,7 @@ import pytest
 from lndkit import cone as C
 from lndkit import lattice
 from lndkit.errors import RefusalError
+from lndkit.toric import is_maximal, require_root
 from oracles import (
     cone_member,
     dual_cone_without_lines,
@@ -510,17 +511,23 @@ def test_square_adjacency_golden():
     adjacent = {(a, b), (b, d), (c, d), (a, c)}
     for v, vp in combinations([a, b, c, d], 2):
         expected = (v, vp) in adjacent or (vp, v) in adjacent
-        assert C.two_face_adjacent(SQUARE, v, vp) == expected
+        assert (C.two_face_functional(SQUARE, v, vp) is not None) == expected
         assert adjacency_by_incidence(SQUARE, v, vp) == expected
 
 
 def test_square_adjacency_set_golden():
     a, b, c, d = (0, 0, 1), (2, 0, 1), (0, 1, 1), (1, 1, 1)
+
+    def neighbours(e):
+        # the rays a maximality verdict quantifies over: those spanning a
+        # two-face with the root's ray and extending it to a basis
+        return is_maximal(SQUARE, require_root(SQUARE, e)).neighbours
+
     # (a, b) span a two-face but do not extend to a basis, so b is excluded
-    assert C.adjacency_set(SQUARE, a) == (c,)
-    assert C.adjacency_set(SQUARE, b) == (d,)
-    assert C.adjacency_set(SQUARE, c) == (a, d)
-    assert C.adjacency_set(SQUARE, d) == (c, b)
+    assert neighbours((1, 1, -1)) == (c,)
+    assert neighbours((-1, 0, 1)) == neighbours((-1, 1, 1)) == (d,)
+    assert neighbours((1, -1, 0)) == (a, d)
+    assert neighbours((-1, -2, 2)) == (c, b)
 
 
 def assert_two_face_contract(c, v, vp, omega):
@@ -562,8 +569,8 @@ def test_two_face_adjacent_matches_fourier_motzkin_sweep():
     for c in sweep_cones(41, 200):
         pointed = C.is_pointed(c)
         for v, vp in combinations(c.rays, 2):
-            adjacent = C.two_face_adjacent(c, v, vp)
-            assert adjacent == C.two_face_adjacent(c, vp, v)
+            adjacent = C.two_face_functional(c, v, vp) is not None
+            assert adjacent == (C.two_face_functional(c, vp, v) is not None)
             assert adjacent == (fm_two_face_functional(c, v, vp) is not None)
             if pointed:
                 assert adjacent == adjacency_by_incidence(c, v, vp)
@@ -582,21 +589,20 @@ def test_two_face_adjacent_on_a_line_keeps_the_functional_answer():
     # functional vanishing on both rays (zero, as there is no other ray)
     # exists, and that has always been the answer
     line = C.make_cone(2, [(0, 1), (0, -1)])
-    assert C.two_face_adjacent(line, (0, -1), (0, 1))
     assert C.two_face_functional(line, (0, -1), (0, 1)) == (0, 0)
     assert fm_two_face_functional(line, (0, -1), (0, 1)) == (0, 0)
 
 
 def test_two_rays_span_their_own_face():
     c = C.make_cone(3, [(1, 0, 0), (0, 1, 0)])
-    assert C.two_face_adjacent(c, (1, 0, 0), (0, 1, 0))
+    assert C.two_face_functional(c, (1, 0, 0), (0, 1, 0)) is not None
 
 
 def test_adjacency_rejects_non_rays():
     with pytest.raises(ValueError):
-        C.two_face_adjacent(SQUARE, (0, 0, 1), (5, 5, 5))
+        C.two_face_functional(SQUARE, (0, 0, 1), (5, 5, 5))
     with pytest.raises(ValueError):
-        C.two_face_adjacent(SQUARE, (0, 0, 1), (0, 0, 1))
+        C.two_face_functional(SQUARE, (0, 0, 1), (0, 0, 1))
 
 
 # ---------------------------------------------------------------------------

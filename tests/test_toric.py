@@ -8,11 +8,13 @@ product witnesses nilpotency.
 
 import random
 from functools import lru_cache
+from itertools import count
 
 import pytest
 
+from lndkit import toric
 from lndkit.algebra import MonomialShiftDerivation, Polynomial, commutator_vanishes_on
-from lndkit.cone import Cone, adjacency_set, dual_cone, hilbert_basis, is_pointed, make_cone
+from lndkit.cone import Cone, dual_cone, hilbert_basis, is_pointed, make_cone
 from lndkit.errors import RefusalError, SearchBoundExceeded
 from lndkit.lattice import (
     LatticeQuotient,
@@ -101,8 +103,16 @@ def oracle_is_root(cone, e):
 
 
 def commuting_pair_exists(cone):
-    """Some ray pair spans a two-face and extends to a basis."""
-    return any(adjacency_set(cone, v) for v in cone.rays)
+    """Some ray pair spans a two-face and extends to a basis: the
+    maximality verdict of a root on some ray has a neighbour. The
+    neighbours depend on the root's ray alone, so each ray asks about the
+    first root found on it in growing boxes (a pointed cone has roots on
+    every ray)."""
+    for v in cone.rays:
+        root = next(r for b in count(1) for r in enumerate_roots(cone, b) if r.ray == v)
+        if is_maximal(cone, root).neighbours:
+            return True
+    return False
 
 
 def brute_commuting_partner(cone, root, bound):
@@ -653,7 +663,7 @@ def test_symmetries_match_brute_permutation_route():
         assert set(sym.matrices) == brute_symmetries(cone, root)
 
 
-def test_symmetries_permutation_cap_counts_candidates():
+def test_symmetries_permutation_cap_counts_candidates(monkeypatch):
     # the rays pair with the root -1 (e1) and 0 (e2, e3, e4), so the classes
     # {e1} and {e2, e3, e4} allow 1! * 3! = 6 ray permutations, and every
     # one of them is a symmetry
@@ -661,6 +671,9 @@ def test_symmetries_permutation_cap_counts_candidates():
                              for i in range(4)])
     root = require_root(orthant4, (-1, 0, 0, 0))
     assert s_delta(orthant4, root, perm_cap=6).order == 6
+    # the cap needs only the rays and the root, so it refuses before the
+    # dual Hilbert basis is built
+    monkeypatch.setattr(toric, "hilbert_basis", None)
     with pytest.raises(SearchBoundExceeded) as exc:
         s_delta(orthant4, root, perm_cap=5)
     assert exc.value.cap == 5
