@@ -4,14 +4,20 @@ A cone is stored by its generators: primitive, lex-sorted, and irredundant,
 i.e. its canonical ray list, when the cone is pointed. One polyhedral
 algorithm serves every question: a double description pass that carries
 the lineality space of the dual explicitly (Fukuda-Prodon, *Double
-description method revisited*, 1996). Its cached output decides the rays
-that ``make_cone`` keeps, pointedness, the dual and its faces as cones by
-exact rank tests, and the two-face functional, a sum of the dual generators
-on a face, which decides adjacency and shifts the partner roots of ``toric``.
+description method revisited*, 1996). Its cached output carries the rays
+that ``make_cone`` keeps and the lines the pass leaves, and it decides
+pointedness, the dual and its faces as cones, and the two-face functional,
+a sum of the dual generators on a face, which decides adjacency and shifts
+the partner roots of ``toric``.
 The box scan ``lattice_points``, behind root enumeration, local slices and
 Hilbert bases, pairs rows the same way, over the integers, to eliminate
 its last coordinate exactly. There is no floating point anywhere and no
 tolerance to tune.
+
+Two per-process caches hold what depends on a cone alone: ``dual_cone``
+and ``hilbert_basis`` are unbounded ``lru_cache``s, keyed by the cone (and
+the box bound), so a process asking about many distinct cones keeps every
+answer until it exits or calls their ``cache_clear``.
 
 Intended scale is the desk scale of the surrounding theory (ambient rank up
 to about 6); the algorithms are chosen for exactness and auditability, not
@@ -51,11 +57,16 @@ class Cone:
 
 @dataclass(frozen=True)
 class DualCone:
-    """Generators of the dual, and the dimension of the cone they span."""
+    """Generators of the dual, the dimension of the cone they span, the
+    number of lines the double description leaves (the codimension of the
+    input), and the input rays that span extremal rays, or all of them
+    when the input has lines."""
 
     rank: int
     generators: LatticeMatrix
     dimension: int
+    lines: int
+    extremal_rays: LatticeMatrix
 
 
 @dataclass(frozen=True)
@@ -68,11 +79,9 @@ def make_cone(rank: int, generators) -> Cone:
     """The cone spanned by the generators, with its canonical ray list.
 
     The nonzero generators are made primitive, deduplicated and sorted, and
-    the cached double description of that cone decides the rest. A pointed
-    cone has a full-dimensional dual, and a generator spans an extremal ray
-    iff the dual generators vanishing on it have rank ``rank - 1``, i.e.
-    cut out a facet of the dual. A cone with lines keeps every generator:
-    every toric question refuses it, naming a line read off its dual.
+    the cached double description of that cone keeps its extremal rays. A
+    cone with lines keeps every generator: every toric question refuses it,
+    naming a line read off its dual.
     """
     for g in generators:
         if len(g) != rank:
@@ -81,11 +90,7 @@ def make_cone(rank: int, generators) -> Cone:
                          if not is_zero_vector(tuple(g))}))
     # on a canonical input this is the cache key of the result, so the
     # later questions on that cone find its dual computed
-    dual = dual_cone(Cone(rank, gens))
-    if dual.dimension == rank:
-        gens = tuple(g for g in gens if matrix_rank(
-            [d for d in dual.generators if pairing(d, g) == 0]) == rank - 1)
-    return Cone(rank, gens)
+    return Cone(rank, dual_cone(Cone(rank, gens)).extremal_rays)
 
 
 def is_pointed(cone: Cone) -> bool:
@@ -142,7 +147,18 @@ def dual_cone(cone: Cone) -> DualCone:
     unchecked. A lower-dimensional input of dimension k gets n - k lines,
     so 2 (n - k) generators, plus one ray per facet of the input. The rank
     of the generators is stored with them as ``dimension``, so
-    ``is_pointed`` costs a cache hit and a comparison.
+    ``is_pointed`` costs a cache hit and a comparison, and the number of
+    lines as ``lines``, so ``dual_as_cone`` does too.
+
+    On a pointed input (a full-dimensional dual) the pass also keeps the
+    input rays that span extremal rays, for ``make_cone``. The dual
+    generators vanishing on a ray r cut out the smallest face of the input
+    containing it. r is extremal iff that face is its own ray; otherwise the
+    face is spanned by at least two other extremal rays, and each of them
+    vanishes on every generator r vanishes on. So on a primitive,
+    duplicate-free input, r is kept iff no other input ray's zero set
+    contains r's. That set is the same as the rank test's, rank n - 1 for
+    the generators vanishing on r, and costs no elimination.
     """
     n = cone.rank
     lines = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -179,7 +195,17 @@ def dual_cone(cone: Cone) -> DualCone:
                 if matrix_rank(active) >= full_rank - 1:
                     rays.append(comb)
     gens = tuple(sorted({*rays, *lines, *(tuple(-x for x in l) for l in lines)}))
-    return DualCone(rank=n, generators=gens, dimension=matrix_rank(gens))
+    dimension = matrix_rank(gens)
+    extremal = cone.rays
+    if dimension == n:
+        # each input ray's zero set among the dual generators, as a bit mask
+        zeros = [sum(1 << i for i, d in enumerate(gens) if pairing(d, r) == 0)
+                 for r in cone.rays]
+        extremal = tuple(r for r, z in zip(cone.rays, zeros)
+                         if not any(y & z == z for s, y in zip(cone.rays, zeros)
+                                    if s != r))
+    return DualCone(rank=n, generators=gens, dimension=dimension,
+                    lines=len(lines), extremal_rays=extremal)
 
 
 def dual_as_cone(cone: Cone) -> Cone:
@@ -188,16 +214,19 @@ def dual_as_cone(cone: Cone) -> Cone:
     The dual generators are already its canonical ray list, so no
     redundancy pass is needed. Every caller wants the dual for its Hilbert
     basis, and the dual of a lower-dimensional cone contains a line, so it
-    has none: that is refused at once, with the line as the witness.
+    has none: that is refused at once, with the line as the witness. The
+    cached double description leaves a line exactly then, so the check
+    costs a cache hit, and the line is solved for only when the cone is
+    refused.
     """
-    # the dual's lineality space is the kernel of the rays
-    witness = _orthogonal_vector(cone.rays, cone.rank)
-    if witness is not None:
+    dual = dual_cone(cone)
+    if dual.lines:
+        # the dual's lineality space is the kernel of the rays
         raise RefusalError(
             "cone is not full-dimensional, so its dual contains a line and "
             "the dual semigroup has no Hilbert basis",
-            witness={"dual_lineality": list(witness)})
-    return Cone(cone.rank, dual_cone(cone).generators)
+            witness={"dual_lineality": list(_orthogonal_vector(cone.rays, cone.rank))})
+    return Cone(cone.rank, dual.generators)
 
 
 def _ray_pair(cone: Cone, v, vp):
@@ -334,11 +363,10 @@ def hilbert_basis(cone: Cone, bound: int | None = None) -> HilbertBasis:
     above an irreducible point of lower degree still. Scanning by degree, a
     point is kept iff it lies above no point kept before it.
     """
-    witness = lineality_witness(cone)
-    if witness is not None:
+    if not is_pointed(cone):
         raise RefusalError(
             "cone contains a line, so its semigroup has no Hilbert basis",
-            witness={"lineality": list(witness)},
+            witness={"lineality": list(lineality_witness(cone))},
         )
     needed = completeness_bound(cone)
     b = needed if bound is None else bound

@@ -11,11 +11,18 @@ extend it to a lattice basis.
 Refusals are always explicit: a non-pointed cone, a character that is not
 a root, or a search that would need to run past its cap raise typed
 errors carrying a witness instead of returning a guess.
+
+Which rays are a ray's neighbours, with their dual pairs and two-face
+functionals, depends on the cone alone, so it is kept in a per-process
+cache, an unbounded ``lru_cache`` keyed by the cone and the ray, beside the
+``dual_cone`` and ``hilbert_basis`` caches of ``cone``. Nothing read
+through ``_pairing`` is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, prod
 
@@ -144,19 +151,26 @@ def roots_equivalent(a: DemazureRoot, b: DemazureRoot) -> bool:
     return a.ray == b.ray
 
 
-def _neighbour(cone: Cone, vp: LatticeVector, v: LatticeVector):
-    """(base, omega) when the rays vp and v are neighbours, else None.
+@lru_cache(maxsize=None)
+def _neighbour_pairs(cone: Cone, v: LatticeVector) -> tuple:
+    """(vp, base, omega) for each neighbour vp of the ray v, in ray order.
 
     Neighbours span a two-face, so the two-face functional omega exists,
     and extend to a basis, so the dual pair gives base, pairing -1 with vp
     and 0 with v. The functional is read off the cached double description,
     so it is asked first and the Smith elimination only for adjacent rays.
+    The table holds no root, so a swapped ``_pairing`` is never hidden
+    behind a warm cache.
     """
-    omega = two_face_functional(cone, vp, v)
-    if omega is None:
-        return None
-    base = solve_dual_pair(vp, v)
-    return None if base is None else (base, omega)
+    pairs = []
+    for vp in cone.rays:
+        if vp == v:
+            continue
+        omega = two_face_functional(cone, vp, v)
+        base = None if omega is None else solve_dual_pair(vp, v)
+        if base is not None:
+            pairs.append((vp, base, omega))
+    return tuple(pairs)
 
 
 def _partner_root(cone: Cone, vp: LatticeVector, v: LatticeVector,
@@ -180,23 +194,25 @@ def construct_commuting_pair(cone: Cone):
 
     The first ray pair (in canonical order) that is two-face adjacent and
     extends to a basis carries the construction. The pair shares its
-    two-face functional, but each root needs its own dual character.
+    two-face functional, but each root needs its own dual character, read
+    from the other ray's neighbour table. The refusal lists both answers
+    for every ray pair, so it alone computes them pair by pair.
     """
     _require_pointed(cone)
-    failures = []
     for i, v in enumerate(cone.rays):
-        for vp in cone.rays[i + 1:]:
-            omega = two_face_functional(cone, v, vp)
-            base = solve_dual_pair(v, vp)
-            if omega is not None and base is not None:
-                first = _partner_root(cone, v, vp, base, omega)
-                second = _partner_root(cone, vp, v, solve_dual_pair(vp, v), omega)
+        later = cone.rays[i + 1:]
+        for vp, base, omega in _neighbour_pairs(cone, v):
+            if vp in later:
+                back = next(b for w, b, _ in _neighbour_pairs(cone, vp) if w == v)
+                first = _partner_root(cone, v, vp, back, omega)
+                second = _partner_root(cone, vp, v, base, omega)
                 assert lnds_commute(first, second)
                 assert not roots_equivalent(first, second)
                 return first, second
-            failures.append({"rays": [list(v), list(vp)],
-                             "two_face_adjacent": omega is not None,
-                             "extends_to_basis": base is not None})
+    failures = [{"rays": [list(v), list(vp)],
+                 "two_face_adjacent": two_face_functional(cone, v, vp) is not None,
+                 "extends_to_basis": solve_dual_pair(v, vp) is not None}
+                for i, v in enumerate(cone.rays) for vp in cone.rays[i + 1:]]
     raise RefusalError(
         "no ray pair is both two-face adjacent and basis extending, "
         "so commuting inequivalent derivations do not exist",
@@ -219,10 +235,9 @@ def is_maximal(cone: Cone, root: DemazureRoot) -> MaximalityVerdict:
     """
     _require_pointed(cone)
     v = root.ray
-    pairs = {vp: pair for vp in cone.rays
-             if vp != v and (pair := _neighbour(cone, vp, v)) is not None}
-    neighbours = tuple(pairs)
-    for vp, (base, omega) in pairs.items():
+    pairs = _neighbour_pairs(cone, v)
+    neighbours = tuple(vp for vp, _, _ in pairs)
+    for vp, base, omega in pairs:
         if pairing(root.vector, vp) == 0:
             partner = _partner_root(cone, vp, v, base, omega)
             assert lnds_commute(root, partner)

@@ -201,6 +201,17 @@ def extremal_rays(generators) -> LatticeMatrix:
     return tuple(kept)
 
 
+def extremal_by_rank(rank: int, rays, dual_generators) -> LatticeMatrix:
+    """The rays of a pointed cone that span extremal rays, by the rank test
+    ray by ray: the dual generators vanishing on an extremal ray cut out a
+    facet of the dual, so they have rank ``rank - 1``. A cone with lines,
+    whose dual is not full-dimensional, keeps every ray."""
+    if matrix_rank(dual_generators) < rank:
+        return tuple(rays)
+    return tuple(g for g in rays if matrix_rank(
+        [d for d in dual_generators if pairing(d, g) == 0]) == rank - 1)
+
+
 def dual_cone_without_lines(cone: Cone) -> DualCone:
     """The double description seeded with both directions of every unit
     vector, each candidate pruned by the rank test and none reduced modulo
@@ -239,7 +250,9 @@ def dual_cone_without_lines(cone: Cone) -> DualCone:
                 kept.add(g)
         gens = kept
     gens = tuple(sorted(gens))
-    return DualCone(rank=n, generators=gens, dimension=matrix_rank(gens))
+    return DualCone(rank=n, generators=gens, dimension=matrix_rank(gens),
+                    lines=n - matrix_rank(cone.rays),
+                    extremal_rays=extremal_by_rank(n, cone.rays, gens))
 
 
 def cone_member(cone: Cone, x: LatticeVector) -> bool:

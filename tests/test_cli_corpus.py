@@ -30,6 +30,7 @@ from lndkit.cli import main
 from lndkit.cone import completeness_bound, dual_as_cone, is_pointed, make_cone
 from lndkit.lattice import matrix_rank
 from lndkit.toric import enumerate_roots
+from test_caches import clear_caches
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus.json"
 
@@ -386,6 +387,19 @@ def test_cli_corpus_bytes():
     differ = [want["argv"] for want in json.loads(CORPUS.read_text())
               if run_case(want["argv"], want["stdin"]) != want]
     assert differ == []
+
+
+def test_cone_answers_do_not_depend_on_the_cache_fill_order():
+    # the cone calls fill the per-process caches in corpus order, from cold;
+    # a second pass in reverse order reads them warm and prints the same bytes
+    clear_caches()
+    recorded = [r for r in json.loads(CORPUS.read_text()) if r["argv"][:2] in (
+        ["cone", "maximal"], ["cone", "commute"], ["cone", "isotropy"])]
+    assert len(recorded) > 300
+    for order in (recorded, recorded[::-1]):
+        differ = [want["argv"] for want in order
+                  if run_case(want["argv"], want["stdin"]) != want]
+        assert differ == []
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from lndkit.toric import is_maximal, require_root
 from oracles import (
     cone_member,
     dual_cone_without_lines,
+    extremal_by_rank,
     extremal_rays,
     feasible_point,
     fm_two_face_functional,
@@ -312,7 +313,8 @@ def test_make_cone_canonical():
 
 def test_make_cone_matches_the_greedy_fourier_motzkin_pass_sweep():
     # on a pointed cone the rays read off the dual are the extremal rays the
-    # greedy pass keeps; a cone with lines keeps its generators, and its
+    # greedy pass keeps, and the ones the rank test keeps generator by
+    # generator; a cone with lines keeps its generators, and its
     # pointedness and line are questions of the cone alone
     rng = random.Random(43)
     kinds = {}
@@ -320,6 +322,10 @@ def test_make_cone_matches_the_greedy_fourier_motzkin_pass_sweep():
         rank = rng.randint(1, 4)
         gens = random_generators(rng, rank)
         made = C.make_cone(rank, gens)
+        canonical = tuple(sorted({lattice.primitive_part(g) for g in gens}))
+        dual = C.dual_cone(C.Cone(rank, canonical))
+        assert made.rays == dual.extremal_rays \
+            == extremal_by_rank(rank, canonical, dual.generators)
         greedy = C.Cone(rank, extremal_rays(gens))
         pointed = C.is_pointed(made)
         assert pointed == C.is_pointed(greedy)

@@ -9,6 +9,7 @@ product witnesses nilpotency.
 import random
 from functools import lru_cache
 from itertools import count
+from math import gcd
 
 import pytest
 
@@ -43,6 +44,7 @@ from lndkit.toric import (
 )
 from oracles import (
     express_in_slice,
+    fm_two_face_functional,
     level_class_symmetries,
     partner_root_by_walk,
     rational_inverse,
@@ -113,6 +115,13 @@ def commuting_pair_exists(cone):
         if is_maximal(cone, root).neighbours:
             return True
     return False
+
+
+def extends_to_basis(v, w):
+    """A pair of primitive vectors extends to a basis of the lattice iff
+    its 2 x 2 minors are coprime."""
+    return gcd(*(v[i] * w[j] - v[j] * w[i]
+                 for i in range(len(v)) for j in range(i + 1, len(v)))) == 1
 
 
 def brute_commuting_partner(cone, root, bound):
@@ -367,19 +376,25 @@ def test_construct_commuting_pair_postconditions():
 def test_construct_commuting_pair_refusal():
     with pytest.raises(RefusalError) as info:
         construct_commuting_pair(make_cone(2, [(1, 0), (1, 2)]))
-    pairs = info.value.witness["pairs"]
-    assert pairs and not any(p["two_face_adjacent"] and p["extends_to_basis"]
-                             for p in pairs)
+    assert info.value.witness == {"pairs": [
+        {"rays": [[1, 0], [1, 2]], "two_face_adjacent": True,
+         "extends_to_basis": False}]}
 
 
 def test_construct_commuting_pair_random_sweep():
+    # a refusal answers both questions for every ray pair in canonical order
     rng = random.Random(99)
     built = 0
     for _ in range(15):
         cone = random_cone(rng, rng.choice([2, 3]))
         if not commuting_pair_exists(cone):
-            with pytest.raises(RefusalError):
+            with pytest.raises(RefusalError) as info:
                 construct_commuting_pair(cone)
+            assert info.value.witness == {"pairs": [
+                {"rays": [list(v), list(w)],
+                 "two_face_adjacent": fm_two_face_functional(cone, v, w) is not None,
+                 "extends_to_basis": extends_to_basis(v, w)}
+                for i, v in enumerate(cone.rays) for w in cone.rays[i + 1:]]}
             continue
         a, b = construct_commuting_pair(cone)
         assert lnds_commute(a, b) and not roots_equivalent(a, b)
