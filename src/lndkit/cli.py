@@ -40,9 +40,8 @@ from .trinomial import (
     derivation_for,
     elementary_derivations,
     is_rigid,
-    kernel_monomials,
+    maximal_replicas,
     maximality_verdict,
-    missing_power_variable,
     pair_commutes,
     trinomial_isotropy_report,
 )
@@ -354,8 +353,7 @@ def cmd_trinomial_lnds(args) -> int:
     }
     if args.replica_degree is not None:
         payload["maximal_replicas"] = [
-            [list(h) for h in kernel_monomials(shape, d, args.replica_degree)
-             if any(h) and missing_power_variable(shape, d.z_index, h) is None]
+            [list(h) for h in maximal_replicas(shape, d, args.replica_degree)]
             for d in derivs]
     return _emit(args, payload)
 

@@ -62,7 +62,6 @@ class DualCone:
     input), and the input rays that span extremal rays, or all of them
     when the input has lines."""
 
-    rank: int
     generators: LatticeMatrix
     dimension: int
     lines: int
@@ -204,8 +203,8 @@ def dual_cone(cone: Cone) -> DualCone:
         extremal = tuple(r for r, z in zip(cone.rays, zeros)
                          if not any(y & z == z for s, y in zip(cone.rays, zeros)
                                     if s != r))
-    return DualCone(rank=n, generators=gens, dimension=dimension,
-                    lines=len(lines), extremal_rays=extremal)
+    return DualCone(generators=gens, dimension=dimension, lines=len(lines),
+                    extremal_rays=extremal)
 
 
 def dual_as_cone(cone: Cone) -> Cone:

@@ -92,10 +92,6 @@ class TrinomialShape:
     y_exponents: tuple
     z_exponents: tuple
 
-    @property
-    def plain_count(self) -> int:
-        return len(self.x_indices)
-
 
 def classify(ring: TrinomialRing) -> TrinomialShape:
     if ring.n0 != 0:
@@ -251,6 +247,29 @@ def kernel_monomials(shape: TrinomialShape, deriv: TrinomialDerivation,
     return tuple(sorted(out))
 
 
+def maximal_replicas(shape: TrinomialShape, deriv: TrinomialDerivation,
+                     max_degree: int) -> tuple:
+    """Exponent vectors of the nonzero multipliers h of total degree at most
+    max_degree for which h times the derivation is maximal, in lex order.
+
+    h is maximal iff it contains every power variable other than the moved
+    one (see ``maximality_verdict``). So the maximal multipliers are exactly
+    s + g, where s has a 1 at each of those power variables and g runs over
+    the kernel monomials of degree at most max_degree - |s|; a translation
+    keeps lex order. With k kernel variables there are
+    C(max_degree - |s| + k, k) of them, none when max_degree < |s|. A single
+    power variable is the moved one, so s = 0 and only the zero multiplier,
+    the first in lex order, is dropped.
+    """
+    s = tuple(int(i in shape.z_indices and i != deriv.z_index)
+              for i in range(shape.ring.nvars))
+    rest = max_degree - sum(s)
+    if rest < 0:
+        return ()
+    shifted = tuple(vec_add(s, g) for g in kernel_monomials(shape, deriv, rest))
+    return shifted if any(s) else shifted[1:]
+
+
 def pair_commutes(ring: TrinomialRing, a: TrinomialDerivation,
                   b: TrinomialDerivation) -> bool:
     """Exact symbolic test: the commutator is a derivation, so vanishing
@@ -266,43 +285,22 @@ def pair_commutes(ring: TrinomialRing, a: TrinomialDerivation,
 @dataclass(frozen=True)
 class TrinomialMaximality:
     maximal: bool
-    reason: str
     witness: TrinomialDerivation | None
-
-
-def missing_power_variable(shape: TrinomialShape, z_index: int, h) -> int | None:
-    """The first power variable other than z_index on which the multiplier
-    h, an exponent vector, vanishes; None if h contains all of them.
-
-    This is the maximality criterion: h times the derivation moving z_index
-    is maximal iff there is none. A single power variable is z_index
-    itself, so there every homogeneous LND is maximal.
-    """
-    for zi in shape.z_indices:
-        if zi != z_index and not h[zi]:
-            return zi
-    return None
 
 
 def maximality_verdict(shape: TrinomialShape,
                        deriv: TrinomialDerivation) -> TrinomialMaximality:
-    """Single power variable: every homogeneous LND is maximal. Several
-    power variables: a derivation is maximal iff its multiplier contains
-    every power variable it does not move; otherwise the elementary
-    derivation moving a missing one commutes and is inequivalent."""
-    if shape.kind == "single_z":
-        return TrinomialMaximality(maximal=True,
-                                   reason="single_power_variable",
-                                   witness=None)
-    zi = missing_power_variable(shape, deriv.z_index,
-                                deriv.replica or (0,) * shape.ring.nvars)
-    if zi is not None:
-        partner = derivation_for(shape, deriv.x_index, zi)
-        return TrinomialMaximality(maximal=False,
-                                   reason="missing_power_factor",
-                                   witness=partner)
-    return TrinomialMaximality(maximal=True, reason="covers_power_block",
-                               witness=None)
+    """The maximality criterion: a derivation is maximal iff its multiplier
+    contains every power variable it does not move. Otherwise the
+    elementary derivation moving the first missing one commutes with it and
+    is inequivalent, and is the witness. A single power variable is the
+    moved one, so there every homogeneous LND is maximal."""
+    h = deriv.replica
+    for zi in shape.z_indices:
+        if zi != deriv.z_index and (h is None or not h[zi]):
+            return TrinomialMaximality(
+                maximal=False, witness=derivation_for(shape, deriv.x_index, zi))
+    return TrinomialMaximality(maximal=True, witness=None)
 
 
 # ---------------------------------------------------------------------------
@@ -357,34 +355,25 @@ def symmetry_factors(shape: TrinomialShape,
                      deriv: TrinomialDerivation) -> TrinomialSymmetries:
     """Finite permutation factor of the isotropy group.
 
-    Variables other than the two moved ones may be permuted when they play
-    the same role, carry the same relation exponent, and appear with the
-    same exponent in the multiplier and in the product of untouched power
-    variables. (Their exponent in the power variable's image, the product
-    of the other plain and the higher-power variables, is already fixed by
-    role and relation exponent.) The group is the direct product of
-    symmetric groups on the resulting classes.
+    Variables other than the two moved ones may be permuted when they lie
+    in the same block, carry the same relation exponent, and appear with
+    the same exponent in the multiplier. Block and relation exponent fix
+    the rest: a product variable is plain iff its exponent is one, the
+    power variable's image (the product of the other plain and the
+    higher-power variables) has exponent 1 on a plain variable and the
+    relation exponent on a higher-power one, and the product of the
+    untouched power variables has the relation exponent on each of them.
+    The group is the direct product of symmetric groups on the resulting
+    classes.
     """
     ring = shape.ring
     n = ring.nvars
     h = deriv.replica or (0,) * n
-    h2 = [0] * n
-    for zi, l in zip(shape.z_indices, shape.z_exponents):
-        if zi != deriv.z_index:
-            h2[zi] = l
-
-    def role(v):
-        if v in shape.x_indices:
-            return "x"
-        if v in shape.y_indices:
-            return "y"
-        return "z"
-
     others = [v for v in range(n) if v not in (deriv.x_index, deriv.z_index)]
     rel = ring.l1 + ring.l2
     classes = {}
     for v in others:
-        classes.setdefault((role(v), rel[v], h[v], h2[v]), []).append(v)
+        classes.setdefault((v in shape.z_indices, rel[v], h[v]), []).append(v)
     factors = tuple(SymmetryFactor(variables=tuple(vs), size=len(vs))
                     for _, vs in sorted(classes.items(),
                                         key=lambda kv: kv[1][0]))
@@ -432,7 +421,7 @@ def trinomial_isotropy_report(ring: TrinomialRing, x_index: int | None = None,
     maximal ones.
     """
     shape = classify(ring)
-    if shape.plain_count == 1:
+    if len(shape.x_indices) == 1:
         raise RefusalError(
             "exactly one exponent-one product variable gives a Danielewski "
             "surface; its isotropy groups are out of scope here",

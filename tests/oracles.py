@@ -44,6 +44,14 @@ from lndkit.toric import (
     find_local_slice,
     is_demazure_root,
 )
+from lndkit.trinomial import (
+    TrinomialDerivation,
+    TrinomialShape,
+    derivation_for,
+    elementary_derivations,
+    kernel_monomials,
+    pair_commutes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +258,7 @@ def dual_cone_without_lines(cone: Cone) -> DualCone:
                 kept.add(g)
         gens = kept
     gens = tuple(sorted(gens))
-    return DualCone(rank=n, generators=gens, dimension=matrix_rank(gens),
+    return DualCone(generators=gens, dimension=matrix_rank(gens),
                     lines=n - matrix_rank(cone.rays),
                     extremal_rays=extremal_by_rank(n, cone.rays, gens))
 
@@ -759,3 +767,94 @@ def quotient_label(rank: int, relations, x: LatticeVector) -> tuple:
     y = vec_mat(x, v)
     label = [y[i] % f for i, f in enumerate(invf) if f != 1]
     return tuple(label) + y[len(invf):]
+
+
+# ---------------------------------------------------------------------------
+# trinomial derivations
+
+
+def maximal_replicas_by_filter(shape: TrinomialShape, deriv: TrinomialDerivation,
+                               max_degree: int) -> tuple:
+    """The nonzero kernel monomials of degree at most max_degree that contain
+    every power variable the derivation does not move, by listing every
+    kernel monomial and keeping those."""
+    return tuple(h for h in kernel_monomials(shape, deriv, max_degree)
+                 if any(h) and all(h[zi] for zi in shape.z_indices
+                                   if zi != deriv.z_index))
+
+
+def _permute_polynomial(poly: Polynomial, sigma) -> Polynomial:
+    """The image of poly under T_i -> T_sigma(i)."""
+    out = {}
+    for exp, c in poly.terms.items():
+        moved = [0] * len(exp)
+        for i, e in enumerate(exp):
+            moved[sigma[i]] = e
+        out[tuple(moved)] = c
+    return Polynomial(out)
+
+
+def trinomial_symmetries_by_permutation(shape: TrinomialShape,
+                                        deriv: TrinomialDerivation):
+    """(order, classes) of the variable permutations that commute with the
+    derivation, by trying each one.
+
+    A candidate sigma maps each block to itself and each variable to one of
+    equal exponent, so T_i -> T_sigma(i) fixes the relation. It is kept when
+    sigma delta sigma^-1 has exactly delta's variable images. The classes
+    are the orbits of the kept permutations on the variables the derivation
+    does not move, each sorted, in order of their first variable.
+
+    This assumes that a symmetry is a plain variable permutation, not a
+    permutation composed with an element of the quasitorus; whether the
+    finite factor of the isotropy group needs the composed kind is not
+    decided here.
+    """
+    ring = shape.ring
+    n = ring.nvars
+    rel = ring.l0 + ring.l1 + ring.l2
+    block = [0] * ring.n0 + [1] * ring.n1 + [2] * ring.n2
+    groups = {}
+    for v in range(n):
+        groups.setdefault((block[v], rel[v]), []).append(v)
+    groups = list(groups.values())
+    images = deriv.derivation.images
+    zero = Polynomial()
+
+    def image(v):
+        return ring.reduce(images.get(v, zero))
+
+    kept = []
+    for parts in product(*(permutations(g) for g in groups)):
+        sigma = [0] * n
+        for g, part in zip(groups, parts):
+            for a, b in zip(g, part):
+                sigma[a] = b
+        inverse = [0] * n
+        for a, b in enumerate(sigma):
+            inverse[b] = a
+        # (sigma delta sigma^-1)(T_v) = sigma(delta(T_inverse(v)))
+        if all(ring.reduce(_permute_polynomial(image(inverse[v]), sigma)) == image(v)
+               for v in range(n)):
+            kept.append(sigma)
+    others = [v for v in range(n) if v not in (deriv.x_index, deriv.z_index)]
+    orbits = {v: frozenset(sigma[v] for sigma in kept) for v in others}
+    classes = sorted({tuple(sorted(o)) for o in orbits.values()})
+    return len(kept), tuple(classes)
+
+
+def trinomial_commutant_by_search(shape: TrinomialShape, deriv: TrinomialDerivation,
+                                  degree: int):
+    """The first replica h' d[x', z'] with (x', z') != (x, z) and h' a kernel
+    monomial of d[x', z'] of degree at most degree that commutes with the
+    derivation, decided by ``pair_commutes``; None if there is none."""
+    ring = shape.ring
+    for base in elementary_derivations(shape):
+        if (base.x_index, base.z_index) == (deriv.x_index, deriv.z_index):
+            continue
+        for h in kernel_monomials(shape, base, degree):
+            partner = derivation_for(shape, base.x_index, base.z_index,
+                                     h if any(h) else None)
+            if pair_commutes(ring, deriv, partner):
+                return partner
+    return None

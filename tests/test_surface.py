@@ -98,12 +98,14 @@ def test_an_unread_dataclass_field_is_reported():
     assert [f for _, f in dataclass_fields(tree) if f not in read] == ["x", "z"]
 
 
-# The check above matches a method by its bare name and exempts dunders. So
-# it cannot see a method that only tests call when another class's method of
-# the same name is read, nor a dunder that nothing in lndkit uses. These
-# pins fail on any change to either set: check the callers of each name by
-# hand, then update the pin.
+# The checks above match a method or a field by its bare name and exempt
+# dunders. So they cannot see a method or field that only tests read when
+# another class's method or field of the same name is read, nor a dunder
+# that nothing in lndkit uses. These pins fail on any change to those sets:
+# check the readers of each name by hand, then update the pin.
 SHARED_METHOD_NAMES = {"apply", "is_zero"}
+SHARED_FIELD_NAMES = {"generators", "complete", "maximal", "witness", "order",
+                      "maximality", "symmetries", "derivation"}
 DUNDERS = {
     "Polynomial": {"__slots__", "__init__", "__eq__", "__str__", "__repr__"},
     "ParamPoly": {"__slots__", "__init__", "__add__", "__mul__", "__eq__",
@@ -136,3 +138,12 @@ def test_shared_method_names_and_polynomial_dunders_are_pinned():
     assert {name for name, classes in owners.items() if len(classes) > 1} \
         == SHARED_METHOD_NAMES
     assert {cls: dunders.get(cls) for cls in DUNDERS} == DUNDERS
+
+
+def test_shared_field_names_are_pinned():
+    owners = {}
+    for tree in parse_all(ROOT / "src" / "lndkit").values():
+        for cls, name in dataclass_fields(tree):
+            owners.setdefault(name, set()).add(cls)
+    assert {name for name, classes in owners.items() if len(classes) > 1} \
+        == SHARED_FIELD_NAMES

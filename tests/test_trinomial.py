@@ -4,6 +4,8 @@ the combinatorial commuting/maximality rules against the actual
 commutator evaluated on every generator."""
 
 import random
+import time
+from math import comb
 
 import pytest
 
@@ -20,12 +22,19 @@ from lndkit.trinomial import (
     is_rigid,
     kernel_monomials,
     kernel_variable_indices,
+    maximal_replicas,
     maximality_verdict,
     pair_commutes,
     symmetry_factors,
     trinomial_isotropy_report,
 )
-from oracles import is_locally_nilpotent, poly_mul
+from oracles import (
+    is_locally_nilpotent,
+    maximal_replicas_by_filter,
+    poly_mul,
+    trinomial_commutant_by_search,
+    trinomial_symmetries_by_permutation,
+)
 
 # x y^2 = z1^2 z2^3 + 1, two power variables
 RING_SPLIT = TrinomialRing((), (1, 2), (2, 3))
@@ -39,6 +48,34 @@ def unit(n, i):
 
 def variables(ring):
     return [Polynomial.monomial(unit(ring.nvars, i)) for i in range(ring.nvars)]
+
+
+def random_supported_ring(rng, max_vars=7):
+    """A classifiable ring of at most max_vars variables with small, often
+    repeated exponents, so blocks share exponents and classes have size
+    above one. About a third of them have a single power variable."""
+    n2 = rng.choice((1, 2, 3))
+    n1 = rng.randint(1, max_vars - n2)
+    l1 = [rng.choice((1, 1, 2, 3)) for _ in range(n1)]
+    l1[rng.randrange(n1)] = 1
+    return TrinomialRing((), tuple(l1), tuple(rng.choice((2, 3)) for _ in range(n2)))
+
+
+def random_derivations(rng, count):
+    """(shape, derivation) pairs on random rings: an elementary derivation,
+    or a replica by a random kernel monomial of small exponents."""
+    out = []
+    while len(out) < count:
+        shape = classify(random_supported_ring(rng))
+        base = rng.choice(elementary_derivations(shape))
+        replica = None
+        if rng.random() < 0.7:
+            replica = [0] * shape.ring.nvars
+            for v in kernel_variable_indices(shape, base):
+                replica[v] = rng.choice((0, 0, 1, 1, 2))
+        out.append((shape, derivation_for(shape, base.x_index, base.z_index,
+                                          replica)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +298,7 @@ def test_single_ring_always_maximal():
     shape = classify(RING_SINGLE)
     for d in elementary_derivations(shape):
         verdict = maximality_verdict(shape, d)
-        assert verdict.maximal and verdict.reason == "single_power_variable"
+        assert verdict.maximal and verdict.witness is None
 
 
 def test_split_ring_irreducible_never_maximal():
@@ -302,6 +339,59 @@ def test_maximality_matches_symbolic_commutant_search():
         assert verdict.maximal == (not commuting)
         if not verdict.maximal:
             assert pair_commutes(ring, deriv, verdict.witness)
+
+
+def test_maximality_matches_commutant_search_on_random_rings():
+    # a maximal verdict: no inequivalent replica of degree <= 2 commutes; a
+    # non-maximal one: its witness is inequivalent and commutes
+    start = time.monotonic()
+    rng = random.Random(17)
+    kinds = set()
+    for shape, d in random_derivations(rng, 300):
+        verdict = maximality_verdict(shape, d)
+        found = trinomial_commutant_by_search(shape, d, 2)
+        assert verdict.maximal == (found is None), d.label()
+        if verdict.maximal:
+            assert verdict.witness is None
+        else:
+            w = verdict.witness
+            assert (w.x_index, w.z_index) != (d.x_index, d.z_index)
+            assert w.replica is None
+            assert pair_commutes(shape.ring, d, w)
+        kinds.add((shape.kind, verdict.maximal))
+    assert kinds == {("single_z", True), ("multi_z", True), ("multi_z", False)}
+    assert time.monotonic() - start < 2.0
+
+
+def test_maximal_replicas_match_the_filter():
+    start = time.monotonic()
+    rng = random.Random(29)
+    rings = [random_supported_ring(rng) for _ in range(30)] + [
+        RING_SPLIT, RING_SINGLE,
+        TrinomialRing((), (1,), (3,)),      # kernel without variables
+        TrinomialRing((), (1,), (2, 3)),    # kernel of one power variable
+        TrinomialRing((), (1, 2), (2, 2, 3))]
+    seen = set()
+    for ring in rings:
+        shape = classify(ring)
+        for d in elementary_derivations(shape):
+            k = len(kernel_variable_indices(shape, d))
+            s = len(shape.z_indices) - 1
+            for degree in range(7):
+                got = maximal_replicas(shape, d, degree)
+                assert got == maximal_replicas_by_filter(shape, d, degree)
+                # the zero multiplier is dropped when s = 0
+                assert len(got) == (comb(degree - s + k, k) - (s == 0)
+                                    if degree >= s else 0)
+                seen.add((shape.kind, k == 0, degree < s))
+    assert seen == {("single_z", False, False), ("single_z", True, False),
+                    ("multi_z", False, False), ("multi_z", False, True)}
+    shape = classify(TrinomialRing((), (1, 1, 1, 2, 2), (2, 2, 3)))
+    lists = [maximal_replicas(shape, d, 12) for d in elementary_derivations(shape)]
+    assert sum(map(len, lists)) == 9 * comb(16, 6) == 72072
+    assert lists == [maximal_replicas_by_filter(shape, d, 12)
+                     for d in elementary_derivations(shape)]
+    assert time.monotonic() - start < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +469,20 @@ def test_symmetry_factors_split_with_replica():
     assert symmetry_factors(shape, skewed).order == 1
 
 
+def test_symmetry_factors_match_permutation_search():
+    start = time.monotonic()
+    rng = random.Random(23)
+    orders = set()
+    for shape, d in random_derivations(rng, 400):
+        sym = symmetry_factors(shape, d)
+        order, classes = trinomial_symmetries_by_permutation(shape, d)
+        assert sym.order == order, d.label()
+        assert tuple(f.variables for f in sym.factors) == classes, d.label()
+        orders.add(order)
+    assert {1, 2} < orders and max(orders) >= 6
+    assert time.monotonic() - start < 2.0
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -398,6 +502,19 @@ def test_single_ring_report_with_discrepancies():
     assert by_field["symmetry_order"]["reference"] == 4
     assert by_field["power_image_exponents"]["computed"] == (0, 1, 2, 2, 7, 0)
     assert by_field["power_image_exponents"]["reference"] == (0, 1, 2, 7, 2, 0)
+
+
+def test_tabulated_ring_symmetry_order_from_permutation_search():
+    # the reference tabulates order 4, two independent transpositions; the
+    # only variable permutation that fixes the relation and the derivation,
+    # apart from the identity, swaps the two exponent-2 variables
+    report = trinomial_isotropy_report(RING_SINGLE)
+    shape = classify(RING_SINGLE)
+    order, classes = trinomial_symmetries_by_permutation(
+        shape, report.derivation)
+    assert order == 2 and classes == ((1,), (2, 3), (4,))
+    by_field = {d["field"]: d for d in report.discrepancies}
+    assert by_field["symmetry_order"]["computed"] == order
 
 
 def test_report_second_plain_variable_no_reference_entry():
