@@ -11,7 +11,12 @@ a sum of the dual generators on a face, which decides adjacency and shifts
 the partner roots of ``toric``.
 The box scan ``lattice_points``, behind root enumeration, local slices and
 Hilbert bases, pairs rows the same way, over the integers, to eliminate
-its last coordinate exactly. There is no floating point anywhere and no
+its last coordinate exactly. Roots and local slices are level scans, an
+equality <v, x> = level on a ray v plus the other rays' rows; the equality
+is substituted out first, so they scan n - 1 coordinates. An equality
+reaches ``lattice_points`` only from a ray with no +-1 entry or of rank 1,
+which keeps the two-row scan, and from the Hilbert scan of a kernel face,
+whose dual has lines. There is no floating point anywhere and no
 tolerance to tune.
 
 Two per-process caches hold what depends on a cone alone: ``dual_cone``
@@ -275,7 +280,10 @@ def completeness_bound(cone: Cone) -> int:
 def lattice_points(rows, bound: int) -> list:
     """Integer points x of [-bound, bound]^n with <a, x> >= c for every row
     (a, c), in lexicographic order. ``rows`` must not be empty; an equality
-    is written as two opposite rows.
+    is written as two opposite rows. The level scans of ``_level_points``
+    substitute their equality out instead, except on a ray with no +-1
+    entry or of rank 1, so equalities come here from those rays and from
+    the lines of a kernel face's dual.
 
     Depth-first over the coordinates. At each depth the coordinate's
     feasible interval is cut from rows in that coordinate alone, given the
@@ -341,6 +349,42 @@ def lattice_points(rows, bound: int) -> list:
             walk(k + 1, [need - a * val for a, need in zip(columns[k], needs)])
 
     walk(0, [c for _, c in rows])
+    return points
+
+
+def _level_points(rays, v: LatticeVector, level: int, bound: int) -> list:
+    """Points x of [-bound, bound]^n with <v, x> = level and <r, x> >= 0 for
+    every other ray r, in lexicographic order: the roots on v at level -1,
+    the slice candidates at level +1.
+
+    The equality is substituted out before the box scan. v is primitive, and
+    when some entry v_j is s = +-1 (the last such j), x_j = s (level -
+    sum_{i != j} v_i x_i). So every other row becomes a row in the remaining
+    n - 1 coordinates, x_j's two box rows become rows in them too, and
+    ``lattice_points`` scans those n - 1 coordinates; x_j is put back into
+    each point. The scan is in lex order of the remaining coordinates, which
+    is the lex order of the points when j is the last coordinate; otherwise
+    they are sorted once. A ray with no +-1 entry, such as (2, 3, 5), and a
+    rank-1 cone keep the scan of all n coordinates, with the equality as two
+    opposite rows.
+    """
+    others = [(r, 0) for r in rays if r != v]
+    n = len(v)
+    j = next((i for i in reversed(range(n)) if v[i] in (1, -1)), None)
+    if j is None or n == 1:
+        return lattice_points([(v, level), (tuple(-x for x in v), -level)]
+                              + others, bound)
+    # x_j = fixed - <w, y> for y the other coordinates
+    s = v[j]
+    fixed = s * level
+    w = tuple(s * x for x in v[:j] + v[j + 1:])
+    rows = [(tuple(x - a[j] * y for x, y in zip(a[:j] + a[j + 1:], w)),
+             c - a[j] * fixed) for a, c in others]
+    rows += [(tuple(-x for x in w), -bound - fixed), (w, fixed - bound)]
+    points = [y[:j] + (fixed - sum(map(mul, w, y)),) + y[j:]
+              for y in lattice_points(rows, bound)]
+    if j < n - 1:
+        points.sort()
     return points
 
 

@@ -33,10 +33,10 @@ from .algebra import (
 )
 from .cone import (
     Cone,
+    _level_points,
     dual_as_cone,
     hilbert_basis,
     is_pointed,
-    lattice_points,
     lineality_witness,
     two_face_functional,
 )
@@ -121,16 +121,15 @@ def enumerate_roots(cone: Cone, bound: int = 10):
     lexicographically. The set of roots need not be finite, hence the box.
 
     The roots on a ray are the box points pairing to -1 with it and
-    nonnegatively with every other ray, so each ray is one pruned
-    ``lattice_points`` scan.
+    nonnegatively with every other ray, so each ray is one level scan of
+    ``cone._level_points``, in n - 1 coordinates when the ray has a +-1
+    entry.
     """
     _require_pointed(cone)
     found = []
     for i, v in enumerate(cone.rays):
-        rows = [(v, -1), (tuple(-x for x in v), 1)]
-        rows += [(r, 0) for r in cone.rays if r != v]
         found.extend(DemazureRoot(vector=e, ray=v, ray_index=i)
-                     for e in lattice_points(rows, bound))
+                     for e in _level_points(cone.rays, v, -1, bound))
     return tuple(found)
 
 
@@ -281,15 +280,13 @@ def find_local_slice(cone: Cone, root: DemazureRoot, cap: int = 64) -> LatticeVe
 
     Minimal means smallest coordinate absolute sum, ties broken
     lexicographically; the growing box stops once the best candidate is
-    provably global.
+    provably global. Each box is one level scan of ``cone._level_points``
+    at level one, in n - 1 coordinates when the ray has a +-1 entry.
     """
     _require_pointed(cone)
-    v = root.ray
-    rows = [(v, 1), (tuple(-x for x in v), -1)]
-    rows += [(r, 0) for r in cone.rays if r != v]
     b = 1
     while b <= cap:
-        points = lattice_points(rows, b)
+        points = _level_points(cone.rays, root.ray, 1, b)
         # min keeps the first of equal norms, and points are in lex order
         best = min(points, key=lambda s: sum(abs(x) for x in s), default=None)
         if best is not None and sum(abs(x) for x in best) <= b:

@@ -229,7 +229,10 @@ def kernel_variable_indices(shape: TrinomialShape,
 
 def kernel_monomials(shape: TrinomialShape, deriv: TrinomialDerivation,
                      max_degree: int) -> tuple:
-    """Exponent vectors of all kernel monomials up to total degree."""
+    """Exponent vectors of all kernel monomials up to total degree, in lex
+    order; none below degree 0."""
+    if max_degree < 0:
+        return ()
     ker = kernel_variable_indices(shape, deriv)
     n = shape.ring.nvars
     out = []
@@ -263,10 +266,8 @@ def maximal_replicas(shape: TrinomialShape, deriv: TrinomialDerivation,
     """
     s = tuple(int(i in shape.z_indices and i != deriv.z_index)
               for i in range(shape.ring.nvars))
-    rest = max_degree - sum(s)
-    if rest < 0:
-        return ()
-    shifted = tuple(vec_add(s, g) for g in kernel_monomials(shape, deriv, rest))
+    shifted = tuple(vec_add(s, g) for g in
+                    kernel_monomials(shape, deriv, max_degree - sum(s)))
     return shifted if any(s) else shifted[1:]
 
 

@@ -17,6 +17,7 @@ from lndkit.cone import (
     dual_as_cone,
     dual_cone,
     hilbert_basis,
+    lattice_points,
     two_face_functional,
 )
 from lndkit.errors import RefusalError, SearchBoundExceeded
@@ -176,6 +177,14 @@ def feasible_point(nvars: int, eqs, ineqs):
     for pr, pc in pivots:
         point[pc] = (work[pr][nvars] - sum(work[pr][j] * point[j] for j in free)) * inv_d
     return tuple(point)
+
+
+def level_points_by_two_rows(rays, v: LatticeVector, level: int, bound: int) -> list:
+    """Points x of [-bound, bound]^n with <v, x> = level and <r, x> >= 0 for
+    every other ray r, in lex order, by a scan of all n coordinates with the
+    equality as two opposite rows."""
+    rows = [(v, level), (tuple(-x for x in v), -level)]
+    return lattice_points(rows + [(r, 0) for r in rays if r != v], bound)
 
 
 def member_of_generators(generators, x: LatticeVector) -> bool:

@@ -15,6 +15,7 @@ from lndkit.cli import main
 from lndkit.cone import dual_cone, hilbert_basis, make_cone
 from lndkit.lattice import pairing
 from lndkit.toric import lnds_commute, require_root, roots_equivalent
+from oracles import level_points_by_two_rows
 
 SQUARE_JSON = '{"rank": 3, "rays": [[0,0,1],[2,0,1],[0,1,1],[1,1,1]]}'
 ORTHANT2_JSON = '{"rank": 2, "rays": [[1,0],[0,1]]}'
@@ -54,6 +55,22 @@ def test_cone_roots_byte_deterministic(invoke):
     first = invoke(["cone", "roots", "--bound", "2"], SQUARE_JSON)
     second = invoke(["cone", "roots", "--bound", "2"], SQUARE_JSON)
     assert first == second
+
+
+def test_cone_roots_on_a_ray_without_a_unit_entry_match_the_two_row_scan(invoke):
+    # (2, 3, 5) has no +-1 entry, so its roots come from the two-row scan,
+    # the other rays' from the scan in two coordinates
+    code, out, err = invoke(["cone", "roots", "--bound", "4"],
+                            '{"rank": 3, "rays": [[1,0,0],[0,1,0],[2,3,5]]}')
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    rays = [tuple(r) for r in data["rays"]]
+    want = [(i, v, e) for i, v in enumerate(rays)
+            for e in level_points_by_two_rows(rays, v, -1, 4)]
+    got = [(r["ray_index"], tuple(r["ray"]), tuple(r["vector"]))
+           for r in data["roots"]]
+    assert got == want
+    assert {i for i, _, _ in got} == {0, 1, 2}
 
 
 def test_cone_maximal_positive(invoke):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil
@@ -16,6 +17,7 @@ from oracles import (
     extremal_rays,
     feasible_point,
     fm_two_face_functional,
+    level_points_by_two_rows,
     member_of_generators,
     positive_functional,
 )
@@ -298,6 +300,43 @@ def test_lattice_points_equals_relaxed_walk_on_hilbert_boxes():
         rows = [(d, 0) for d in C.dual_cone(dual).generators]
         assert C.lattice_points(rows, bound) == relaxed_walk(rows, bound)
         scanned += 1
+
+
+def unit_entry_position(v):
+    """Where the last +-1 entry of v sits, the one a level scan substitutes
+    out, or None when there is none."""
+    j = max((i for i, x in enumerate(v) if x in (1, -1)), default=None)
+    if j is None:
+        return None
+    return "last" if j == len(v) - 1 else "first" if j == 0 else "middle"
+
+
+def test_level_points_equal_the_two_row_scan_sweep():
+    start = time.monotonic()
+    rng = random.Random(408)
+    # rays with no +-1 entry keep the two-row scan; the rest substitute out
+    # their last +-1 entry, first, in the middle or last
+    cones = [C.make_cone(3, [(1, 0, 0), (0, 1, 0), (2, 3, 5)]),
+             C.make_cone(3, [(2, 1, 3), (1, 2, 3), (0, 0, 1), (3, 2, 1)]),
+             C.make_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                             (0, 0, 0, 1), (1, 1, 1, -1)])]
+    cones += [random_pointed_cone(rng, rank, lo=-3, hi=5, max_bound=40)
+              for rank in (1, 2, 2, 3, 3, 3, 4, 4, 5) for _ in range(4)]
+    seen, total = set(), 0
+    for cone in cones:
+        for v in cone.rays:
+            for level in (-1, 1):
+                bound = rng.randint(0, 10 if cone.rank <= 3 else 6)
+                want = level_points_by_two_rows(cone.rays, v, level, bound)
+                assert C._level_points(cone.rays, v, level, bound) == want
+                seen.add((cone.rank, unit_entry_position(v), level))
+                total += len(want)
+    assert {rank for rank, _, _ in seen} == {1, 2, 3, 4, 5}
+    assert {position for _, position, _ in seen} == {None, "first", "middle", "last"}
+    assert {(position, level) for rank, position, level in seen if rank > 1} \
+        >= {(p, lv) for p in (None, "first", "middle", "last") for lv in (-1, 1)}
+    assert total > 10000
+    assert time.monotonic() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from oracles import (
     express_in_slice,
     fm_two_face_functional,
     level_class_symmetries,
+    level_points_by_two_rows,
     partner_root_by_walk,
     rational_inverse,
     vec_mat,
@@ -251,6 +252,21 @@ def test_enumerate_roots_matches_symbolic_oracle():
         want = {e for e in iproduct(range(-bound, bound + 1), repeat=cone.rank)
                 if oracle_is_root(cone, e) is not None}
         assert got == want
+
+
+def test_enumerate_roots_on_the_unbounded_root_cone_match_the_two_row_scan():
+    # the cone whose root count grows without bound with the box; every ray
+    # has a +-1 entry, first, in the middle and last
+    cone = make_cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                         (0, 0, 0, 1), (1, 1, 1, -1)])
+    got = [(r.ray_index, r.ray, r.vector) for r in enumerate_roots(cone, 6)]
+    want = [(i, v, e) for i, v in enumerate(cone.rays)
+            for e in level_points_by_two_rows(cone.rays, v, -1, 6)]
+    assert got == want
+    # on e4: x4 = -1 and x1, x2, x3 >= 0; on (1,1,1,-1): x >= 0 with
+    # x4 = x1 + x2 + x3 + 1 <= 6, C(8, 3) of them
+    assert [sum(i == k for i, _, _ in got) for k in range(5)] \
+        == [7 ** 3, 259, 259, 259, 56]
 
 
 def test_enumerate_roots_sorted_and_rays_agree_with_oracle():

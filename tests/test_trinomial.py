@@ -394,6 +394,16 @@ def test_maximal_replicas_match_the_filter():
     assert time.monotonic() - start < 2.0
 
 
+def test_kernel_monomials_below_degree_zero_are_none():
+    # a kernel without variables has the constant 1 at degree 0 only, as a
+    # kernel with variables does
+    for ring in (TrinomialRing((), (1,), (3,)), TrinomialRing((), (1, 2), (3,))):
+        shape = classify(ring)
+        for d in elementary_derivations(shape):
+            assert kernel_monomials(shape, d, -1) == ()
+            assert kernel_monomials(shape, d, 0) == ((0,) * ring.nvars,)
+
+
 # ---------------------------------------------------------------------------
 # grading and isotropy
 
